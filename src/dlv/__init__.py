@@ -28,12 +28,7 @@ from .lattice import (
     DivisorClass,
     RegisteredCurve,
     SurfaceModel,
-    add,
     format_class,
-    is_zero,
-    pair,
-    scale,
-    self_int,
 )
 from .constructions import (
     MorphismMap,

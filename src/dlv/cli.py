@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from . import __version__
-from .constructions import build_tower
-from .errors import DivisorLatticeError
+from .constructions import build_tower, check_odd_n
+from .errors import DivisorLatticeError, InvalidParameter
 from .expr import ExprError, parse_expr
 from .lattice import format_class
 from .oracle import (
@@ -26,7 +26,6 @@ from .oracle import (
 )
 from .pipeline import (
     FAILED,
-    SCHEMA_VERSION,
     VerificationReport,
     canonical_json,
     render_report_text,
@@ -36,7 +35,7 @@ from .pipeline import (
     verify,
     verify_instance,
 )
-from .schema import schema_check_enabled, validate_document
+from .schema import SCHEMA_VERSION, schema_check_enabled, validate_document
 
 
 class _UsageError(Exception):
@@ -51,17 +50,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_odd_range(text: str) -> list[int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise _UsageError(f"--n-range expects A..B, got {text!r}")
+    usage = _UsageError(
+        f"--n-range expects A..B with odd integers 3 <= A <= B, got {text!r}"
+    )
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise _UsageError(f"--n-range expects integers, got {text!r}") from None
-    if lo % 2 == 0 or hi % 2 == 0 or lo < 3 or hi < lo:
-        raise _UsageError(
-            f"--n-range expects odd bounds with 3 <= A <= B, got {text!r}"
-        )
+        lo, hi = (check_odd_n(int(bound)) for bound in text.split(".."))
+    except (ValueError, InvalidParameter):
+        raise usage from None
+    if hi < lo:
+        raise usage
     return list(range(lo, hi + 1, 2))
 
 

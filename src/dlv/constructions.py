@@ -75,10 +75,6 @@ class MorphismMap:
             raise InvalidParameter("pairing_scale must be a positive integer")
 
     @property
-    def source_size(self) -> int:
-        return len(self.pullback_matrix)
-
-    @property
     def target_size(self) -> int:
         return len(self.pullback_matrix[0]) if self.pullback_matrix else 0
 
@@ -300,6 +296,20 @@ def double_cover(
 # -- the verified tower ----------------------------------------------------
 
 
+def check_odd_n(n: int) -> int:
+    """Return ``n`` if it is an odd integer >= 3; raise otherwise.
+
+    The single check behind every n the package accepts (the tower, the
+    certificate threshold, the CLI ranges).  Bools are rejected although
+    they are ints: ``True`` is not a surface parameter.
+    """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidParameter(f"n must be an integer, got {n!r}")
+    if n < 3 or n % 2 == 0:
+        raise InvalidParameter(f"n must be an odd integer >= 3, got {n}")
+    return n
+
+
 def build_abelian_product(n: int) -> SurfaceModel:
     """Model of the self-product of an elliptic curve, for odd n >= 3.
 
@@ -312,10 +322,7 @@ def build_abelian_product(n: int) -> SurfaceModel:
 
     All three classes are smooth elliptic curves, registered as such.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidParameter(f"n must be an integer, got {n!r}")
-    if n < 3 or n % 2 == 0:
-        raise InvalidParameter(f"n must be an odd integer >= 3, got {n}")
+    check_odd_n(n)
     model_id = f"abelian_product(n={n})"
     gram = (
         (0, 1, 4),

@@ -249,31 +249,6 @@ class SurfaceModel:
         return self.pair(d, d)
 
 
-# -- module-level operation aliases ---------------------------------------
-
-
-def pair(model: SurfaceModel, d1: DivisorClass, d2: DivisorClass) -> int:
-    """Intersection number of two classes of ``model``."""
-    return model.pair(d1, d2)
-
-
-def self_int(model: SurfaceModel, d: DivisorClass) -> int:
-    """Self-intersection of a class of ``model``."""
-    return model.self_int(d)
-
-
-def add(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
-    return d1 + d2
-
-
-def scale(k: int, d: DivisorClass) -> DivisorClass:
-    return k * d
-
-
-def is_zero(d: DivisorClass) -> bool:
-    return d.is_zero
-
-
 def format_class(model: SurfaceModel, d: DivisorClass) -> str:
     """Render a class as a signed combination of basis labels, e.g.
     ``F + Gamma_n - 2*e_1``.  The zero class renders as ``0``."""

@@ -55,18 +55,6 @@ NEF_RULE_CITATION = (
     "class is not effective"
 )
 
-COVER_SPLIT_CITATION = (
-    "for a double cover with structure-sheaf pushforward O + O(-R), "
-    "sections of the pullback of M split as sections of M plus sections "
-    "of M - R on the base"
-)
-
-BLOWUP_TRANSFER_CITATION = (
-    "sections of pullback(M) - sum k_i e_i on a blow-up are exactly the "
-    "sections of M downstairs vanishing to order at least k_i at the "
-    "blown-up points"
-)
-
 FORCING_CITATION = (
     "a member of the linear system pairing strictly negatively with a "
     "registered irreducible curve contains that curve as a component; "

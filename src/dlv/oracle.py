@@ -14,10 +14,12 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
+from . import __version__
 from .constructions import PointSpec, blow_up, build_tower, double_cover, pullback
 from .errors import BoundTooLarge, RegistryTooLarge
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
 from .linsys import UniqueMember, fixed_part_forcing
+from .schema import SCHEMA_VERSION
 
 GRID_CAP = 10**8
 
@@ -38,9 +40,6 @@ class OracleReport:
 
 
 def oracle_report_to_dict(report: OracleReport) -> dict:
-    from . import __version__
-    from .pipeline import SCHEMA_VERSION
-
     return {
         "schema": "oracle-report",
         "schema_version": SCHEMA_VERSION,

@@ -32,8 +32,9 @@ import json
 from dataclasses import dataclass, replace
 
 from . import __version__ as TOOL_VERSION
-from .constructions import Tower, build_tower, pullback
+from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
 from .errors import InvalidParameter, NotCertified
+from .lattice import DivisorClass
 from .linsys import (
     RuleApplication,
     SectionCountResult,
@@ -41,15 +42,26 @@ from .linsys import (
     certify_not_effective,
     cover_section_split,
     fixed_part_forcing,
-    forcing_rule_application,
     h0_unique_member,
 )
-
-SCHEMA_VERSION = 1
+from .schema import SCHEMA_VERSION
 
 VERIFIED = "Verified"
 BEYOND_THRESHOLD = "BeyondThreshold"
 FAILED = "Failed"
+
+# The blow-up section transfer is applied twice (stages 1 and 4); each
+# application cites the points it runs through.
+TOP_TRANSFER_CITATION = (
+    "the class is the pullback of the nodal member's multiple minus "
+    "2m times each exceptional class; its sections are sections "
+    "downstairs vanishing to order 2m at the three nodes"
+)
+BASE_TRANSFER_CITATION = (
+    "sections of the strict-transform multiple on the blown-up "
+    "base are sections of the member's multiple vanishing to "
+    "order 2m at the three transverse points"
+)
 
 
 def m_threshold(n: int) -> int:
@@ -58,11 +70,14 @@ def m_threshold(n: int) -> int:
     Exact for odd n because n^2 = 1 (mod 4); even n is rejected rather
     than approximated.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidParameter(f"n must be an integer, got {n!r}")
-    if n < 3 or n % 2 == 0:
-        raise InvalidParameter(f"n must be an odd integer >= 3, got {n}")
+    check_odd_n(n)
     return (n * n + 3) // 4
+
+
+def _check_positive(name: str, value: int) -> None:
+    """The one check for m and m_max: a positive int, bools rejected."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,57 +102,55 @@ class VerificationReport:
     tool_version: str = TOOL_VERSION
 
 
+def _transfer(
+    chain: list[RuleApplication], morphism: MorphismMap, d: DivisorClass, citation: str
+) -> tuple[DivisorClass, list[int]]:
+    """Apply the blow-up section transfer to ``d`` and record it in ``chain``."""
+    down, orders = blowup_section_transfer(morphism, d)
+    chain.append(
+        RuleApplication(
+            rule="blowup-section-transfer",
+            citation=citation,
+            values={
+                "surface": morphism.source_model,
+                "class": list(d.coeffs),
+                "downstairs_class": list(down.coeffs),
+                "vanishing_orders": list(orders),
+            },
+        )
+    )
+    return down, orders
+
+
 def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResult:
-    """Run the full certificate chain for one (n, m).
+    """Run the five stages of the certificate chain for one (n, m).
+
+    Each stage applies its rule, appends the rule application to the chain
+    and checks the computed values against their closed forms.
 
     ``tower`` may be supplied to reuse the constructed models across an m
     sweep; it must have been built for the same n.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidParameter(f"m must be a positive integer, got {m!r}")
+    _check_positive("m", m)
     if tower is None:
         tower = build_tower(n)
     elif tower.n != n:
         raise InvalidParameter(f"tower was built for n={tower.n}, not n={n}")
 
-    base = tower.base
-    base_blowup = tower.base_blowup
-    top = tower.cover_blowup
-    member = tower.classes["A"]
-    half_branch = tower.classes["R"]
-    one_dim = tower.classes["L"]
-    headline = tower.classes["D"]
-    witness = tower.classes["G_n"]
-
-    a_sq = base.self_int(member)
-    d_sq = top.self_int(headline)
-
+    classes = tower.classes
+    m_member = m * classes["A"]
+    m_one_dim = m * classes["L"]
+    orders = [2 * m] * 3
     chain: list[RuleApplication] = []
     problems: list[str] = []
 
     # Stage 1: transfer m*D from the top surface down to the cover.
-    m_top = m * headline
-    down_cover, orders_top = blowup_section_transfer(tower.cover_blowup_map, m_top)
-    chain.append(
-        RuleApplication(
-            rule="blowup-section-transfer",
-            citation=(
-                "the class is the pullback of the nodal member's multiple minus "
-                "2m times each exceptional class; its sections are sections "
-                "downstairs vanishing to order 2m at the three nodes"
-            ),
-            values={
-                "surface": top.model_id,
-                "class": list(m_top.coeffs),
-                "downstairs_class": list(down_cover.coeffs),
-                "vanishing_orders": list(orders_top),
-            },
-        )
+    down, top_orders = _transfer(
+        chain, tower.cover_blowup_map, m * classes["D"], TOP_TRANSFER_CITATION
     )
-    m_member = m * member
-    if orders_top != [2 * m] * 3:
-        problems.append(f"top-surface vanishing orders {orders_top} != {[2 * m] * 3}")
-    if down_cover != pullback(tower.cover_map, m_member):
+    if top_orders != orders:
+        problems.append(f"top-surface vanishing orders {top_orders} != {orders}")
+    if down != pullback(tower.cover_map, m_member):
         problems.append("top-surface transfer does not land on the pulled-back multiple")
 
     # Stage 2: split the pulled-back sections over the cover.
@@ -155,19 +168,14 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
             },
         )
     )
-    if first != m_member or second != m_member - half_branch:
+    if first != m_member or second != m_member - classes["R"]:
         problems.append("cover split summands are not (M, M - R)")
 
     # Stage 3: the second summand is not effective below the threshold.
-    expected_certificate = 4 * (m - 1) - n * n
-    beyond = False
     try:
-        certificate = certify_not_effective(base, second, witness)
-        certificate_value = certificate.pairing_value
-        chain.append(certificate.to_rule_application())
+        certificate = certify_not_effective(tower.base, second, classes["G_n"])
     except NotCertified as refusal:
         certificate_value = refusal.pairing_value
-        beyond = True
         chain.append(
             RuleApplication(
                 rule="noneffectivity-witness-failed",
@@ -182,47 +190,36 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
                 },
             )
         )
+    else:
+        certificate_value = certificate.pairing_value
+        chain.append(certificate.to_rule_application())
+    expected_certificate = 4 * (m - 1) - n * n
     if certificate_value != expected_certificate:
         problems.append(
             f"witness pairing {certificate_value} != 4(m-1) - n^2 = {expected_certificate}"
         )
 
-    m_one_dim = m * one_dim
-    if beyond:
-        # The forcing statement on the blown-up base holds for every m >= 1;
+    if certificate_value >= 0:
+        # Stage 3 refused, so the instance lies beyond the threshold.  The
+        # forcing statement on the blown-up base holds for every m >= 1;
         # spot-check it and flag the scope, but report no top-surface h0.
-        spot_trace = fixed_part_forcing(base_blowup, m_one_dim)
+        spot_trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
         spot = h0_unique_member(spot_trace)
         for app in spot.certificate_chain:
             chain.append(replace(app, values={**app.values, "scope": "Y'-only"}))
         if spot.value != 1:
             problems.append("blown-up-base forcing failed beyond the threshold")
-        status = BEYOND_THRESHOLD
-        h0 = SectionCountResult(value=None, certificate_chain=tuple(chain))
+        status, h0 = BEYOND_THRESHOLD, None
     else:
         # Stage 4: transfer the surviving summand down to the blown-up base.
-        down_base, orders_base = blowup_section_transfer(tower.base_blowup_map, m_one_dim)
-        chain.append(
-            RuleApplication(
-                rule="blowup-section-transfer",
-                citation=(
-                    "sections of the strict-transform multiple on the blown-up "
-                    "base are sections of the member's multiple vanishing to "
-                    "order 2m at the three transverse points"
-                ),
-                values={
-                    "surface": base_blowup.model_id,
-                    "class": list(m_one_dim.coeffs),
-                    "downstairs_class": list(down_base.coeffs),
-                    "vanishing_orders": list(orders_base),
-                },
-            )
+        down, base_orders = _transfer(
+            chain, tower.base_blowup_map, m_one_dim, BASE_TRANSFER_CITATION
         )
-        if down_base != m_member or orders_base != [2 * m] * 3:
+        if down != m_member or base_orders != orders:
             problems.append("blown-up-base transfer does not match the member multiple")
 
         # Stage 5: forcing pins the unique member.
-        trace = fixed_part_forcing(base_blowup, m_one_dim)
+        trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
         section_count = h0_unique_member(trace)
         chain.extend(section_count.certificate_chain)
         if section_count.value != 1:
@@ -231,9 +228,10 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
             decomposition = trace.conclusion.as_dict()
             if decomposition != {"F'": m, "Gamma_n'": m}:
                 problems.append(f"unexpected decomposition {decomposition}")
-        status = VERIFIED
-        h0 = SectionCountResult(value=section_count.value, certificate_chain=tuple(chain))
+        status, h0 = VERIFIED, section_count.value
 
+    a_sq = tower.base.self_int(classes["A"])
+    d_sq = tower.cover_blowup.self_int(classes["D"])
     if a_sq != 8:
         problems.append(f"member self-intersection {a_sq} != 8")
     if d_sq != 4:
@@ -247,8 +245,7 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
                 values={"details": problems},
             )
         )
-        status = FAILED
-        h0 = SectionCountResult(value=None, certificate_chain=tuple(chain))
+        status, h0 = FAILED, None
 
     return InstanceResult(
         n=n,
@@ -256,7 +253,7 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
         a_n_squared=a_sq,
         d_n_squared=d_sq,
         certificate_value=certificate_value,
-        h0=h0,
+        h0=SectionCountResult(value=h0, certificate_chain=chain),
         status=status,
     )
 
@@ -271,8 +268,8 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
     threshold = m_threshold(n)
     if m_max is None:
         m_max = threshold
-    elif not isinstance(m_max, int) or m_max < 1:
-        raise InvalidParameter(f"m_max must be a positive integer, got {m_max!r}")
+    else:
+        _check_positive("m_max", m_max)
     tower = build_tower(n)
     instances = tuple(verify_instance(n, m, tower=tower) for m in range(1, m_max + 2))
 
@@ -301,9 +298,7 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
 def sweep(n_list) -> tuple[VerificationReport, ...]:
     """One report per n; inputs validated up front, computed independently,
     collected in input order."""
-    ns = list(n_list)
-    for n in ns:
-        m_threshold(n)  # validates
+    ns = [check_odd_n(n) for n in n_list]
     return tuple(verify(n) for n in ns)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 
+SCHEMA_VERSION = 1
+
 _RULE_APPLICATION = {
     "type": "object",
     "properties": {

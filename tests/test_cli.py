@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -106,6 +107,17 @@ def test_sweep_json_deterministic(tmp_path):
     document = json.loads(out_a.read_text())
     assert document["schema"] == "sweep-report"
     assert [r["n"] for r in document["reports"]] == [3, 5, 7, 9]
+
+
+def test_sweep_json_digest_is_pinned(tmp_path):
+    # the report contract is byte-level: any change to these bytes needs a
+    # schema_version bump, not a new digest
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--n-range", "3..9", "--format", "json", "--out", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "c8d6f797eb6326a8b34ce9bc127cebce499e70ce0af669f4c31ece64002c6150"
+    )
 
 
 def test_oracle_quick_run(capsys):

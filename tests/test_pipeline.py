@@ -136,6 +136,14 @@ def test_m_max_override():
     assert all(r.status == VERIFIED for r in report.instances)
 
 
+@pytest.mark.parametrize("bad", [True, 0, -1, 2.0])
+def test_m_max_must_be_a_positive_int(bad):
+    # a bool is an int in Python, but a report with "m_max": true breaks the
+    # schema, so it is rejected like any other non-integer
+    with pytest.raises(InvalidParameter):
+        verify(3, m_max=bad)
+
+
 def test_sweep_reports_are_n_independent_in_d_squared():
     reports = sweep([3, 5, 7])
     assert len(reports) == 3
