@@ -35,7 +35,7 @@ from .pipeline import (
     verify,
     verify_instance,
 )
-from .schema import SCHEMA_VERSION, schema_check_enabled, validate_document
+from .schema import document, schema_check_enabled, validate_document
 
 
 class _UsageError(Exception):
@@ -128,22 +128,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write(args, to_document, to_text) -> int:
+    """Build the report in ``args.format`` and write it to ``args.out`` or
+    stdout; 2 when the schema self-check is on and rejects it, else 0."""
+    if args.format == "json":
+        doc = to_document()
+        if schema_check_enabled():
+            try:
+                validate_document(doc)
+            except Exception as exc:  # jsonschema.ValidationError
+                print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
+                return 2
+        text = canonical_json(doc)
+    else:
+        text = to_text()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(document: dict, out_path: str | None) -> int:
-    if schema_check_enabled():
-        try:
-            validate_document(document)
-        except Exception as exc:  # jsonschema.ValidationError
-            print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
-            return 2
-    _emit(canonical_json(document), out_path)
     return 0
 
 
@@ -166,37 +169,27 @@ def _cmd_verify(args) -> int:
         )
     else:
         report = verify(args.n, m_max=args.m_max)
-    if args.format == "json":
-        code = _emit_json(report_to_dict(report), args.out)
-        if code:
-            return code
-    else:
-        _emit(render_report_text(report), args.out)
-    return _report_exit_code([report])
+    return _write(
+        args, lambda: report_to_dict(report), lambda: render_report_text(report)
+    ) or _report_exit_code([report])
 
 
 def _cmd_sweep(args) -> int:
     ns = _parse_odd_range(args.n_range)
     reports = []
-    aborted = False
     for i, n in enumerate(ns, start=1):
         if args.format == "text":
             print(f"[{i}/{len(ns)}] n={n}", file=sys.stderr)
         report = verify(n)
         reports.append(report)
         if any(r.status == FAILED for r in report.instances):
-            # a Failed instance means an internal contradiction: emit what
-            # was collected and abort the rest of the sweep
+            # a Failed instance means an internal contradiction (exit 2): emit
+            # what was collected and abort the rest of the sweep
             print(f"dlv: n={n} failed internal checks; aborting sweep", file=sys.stderr)
-            aborted = True
             break
-    if args.format == "json":
-        code = _emit_json(sweep_to_dict(reports), args.out)
-        if code:
-            return code
-    else:
-        _emit(render_sweep_text(reports), args.out)
-    return 2 if aborted else _report_exit_code(reports)
+    return _write(
+        args, lambda: sweep_to_dict(reports), lambda: render_sweep_text(reports)
+    ) or _report_exit_code(reports)
 
 
 def _cmd_oracle(args) -> int:
@@ -209,26 +202,24 @@ def _cmd_oracle(args) -> int:
         enumeration_check(n=3, m_cap=4, coeff_bound=args.bound),
     ]
     failures_total = sum(len(s.failures) for s in suites)
-    if args.format == "json":
-        document = {
-            "schema": "oracle-run",
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "reports": [oracle_report_to_dict(s) for s in suites],
-            "failures_total": failures_total,
-        }
-        code = _emit_json(document, args.out)
-        if code:
-            return code
-    else:
+
+    def to_text():
         lines = []
         for s in suites:
             state = "ok" if s.ok else f"{len(s.failures)} FAILURES"
             lines.append(f"suite {s.suite}: {s.trials} trials, {state} (seed {s.seed})")
             lines.extend(f"  {f}" for f in s.failures)
         lines.append(f"total failures: {failures_total}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 2 if failures_total else 0
+        return "\n".join(lines) + "\n"
+
+    def to_document():
+        return document(
+            "oracle-run",
+            reports=[oracle_report_to_dict(s) for s in suites],
+            failures_total=failures_total,
+        )
+
+    return _write(args, to_document, to_text) or (2 if failures_total else 0)
 
 
 def _cmd_pair(args) -> int:
@@ -243,22 +234,18 @@ def _cmd_pair(args) -> int:
         kind, rendered = "pairing", result
     else:
         kind, rendered = "class", format_class(tower.model_of(result), result)
-    if args.format == "json":
-        document = {
-            "schema": "pair-result",
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "n": args.n,
-            "expr": args.expr,
-            "kind": kind,
-            "value": rendered,
-        }
-        return _emit_json(document, args.out)
-    _emit(f"{rendered}\n", args.out)
-    return 0
+    return _write(
+        args,
+        lambda: document(
+            "pair-result", n=args.n, expr=args.expr, kind=kind, value=rendered
+        ),
+        lambda: f"{rendered}\n",
+    )
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)  # numbers print in full, however long
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

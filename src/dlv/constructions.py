@@ -33,12 +33,14 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ArityMismatch,
+    InvalidModel,
     InvalidParameter,
     MismatchedModel,
     NotABlowup,
     UnknownCurve,
 )
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
+from .schema import document
 
 
 @dataclass(frozen=True)
@@ -472,20 +474,28 @@ def build_tower(n: int) -> Tower:
 
 
 def model_to_dict(model: SurfaceModel) -> dict:
-    return {
-        "schema": "surface-model",
-        "schema_version": 1,
-        "model_id": model.model_id,
-        "basis": list(model.basis),
-        "gram": [list(row) for row in model.gram],
-        "kind": model.kind,
-        "curves": [
+    return document(
+        "surface-model",
+        model_id=model.model_id,
+        basis=list(model.basis),
+        gram=[list(row) for row in model.gram],
+        kind=model.kind,
+        curves=[
             {"label": c.label, "coeffs": list(c.cls.coeffs), "note": c.note}
             for c in model.curves
         ],
-        "provenance": list(model.provenance),
-        "exceptional_labels": list(model.exceptional_labels),
-    }
+        provenance=list(model.provenance),
+        exceptional_labels=list(model.exceptional_labels),
+    )
+
+
+def _exact_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; ``InvalidModel`` unless each is exactly an ``int``."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise InvalidModel(f"{what} must be integers, got {x!r}")
+    return values
 
 
 def model_from_dict(data: dict) -> SurfaceModel:
@@ -493,11 +503,11 @@ def model_from_dict(data: dict) -> SurfaceModel:
     return SurfaceModel(
         model_id=model_id,
         basis=tuple(data["basis"]),
-        gram=tuple(tuple(int(x) for x in row) for row in data["gram"]),
+        gram=tuple(_exact_ints(row, "Gram entries") for row in data["gram"]),
         curves=tuple(
             RegisteredCurve(
                 label=c["label"],
-                cls=DivisorClass(model_id, tuple(int(x) for x in c["coeffs"])),
+                cls=DivisorClass(model_id, _exact_ints(c["coeffs"], "coefficients")),
                 note=c.get("note", ""),
             )
             for c in data["curves"]

@@ -63,12 +63,23 @@ def _tokenize(text: str):
     return tokens
 
 
+# Each '(' costs four frames: about 250 exhaust the default recursion limit.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, tokens, resolve, pair):
         self.tokens = tokens
         self.i = 0
         self.resolve = resolve
         self.pair = pair
+        self.depth = 0
+
+    def nest(self, pos):
+        """Enter one more level of '(' or unary '-'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -132,7 +143,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            return -self.unary()
+            self.nest(pos)
+            inner = self.unary()
+            self.depth -= 1
+            return -inner
         return self.atom()
 
     def atom(self):
@@ -142,7 +156,9 @@ class _Parser:
         if kind == "ident":
             return self.resolve(value, pos)
         if kind == "op" and value == "(":
+            self.nest(pos)
             inner = self.sum()
+            self.depth -= 1
             kind, value, pos = self.take()
             if not (kind == "op" and value == ")"):
                 raise ExprSyntaxError("expected ')'", pos)

@@ -295,23 +295,19 @@ def _solve_exact(columns: list[tuple[int, ...]], rhs: tuple[int, ...]) -> list[i
 
 def _represent_over_visible_cone(
     model: SurfaceModel, d: DivisorClass
-) -> tuple[dict[str, int], dict[str, int]] | None:
+) -> dict[str, int] | None:
     """Write ``d`` over the registered curves plus exceptional classes.
 
-    Returns ``(curve_counts, exceptional_counts)`` for the unique exact
-    integer representation, or None when no such representation exists.
+    Returns the registered-curve counts of the unique exact integer
+    representation, or None when no such representation exists.
     """
     columns = [curve.cls.coeffs for curve in model.curves]
-    exc_labels = list(model.exceptional_labels)
-    for label in exc_labels:
+    for label in model.exceptional_labels:
         columns.append(model.basis_class(label).coeffs)
     solution = _solve_exact(columns, d.coeffs)
     if solution is None:
         return None
-    k = len(model.curves)
-    curve_counts = {c.label: solution[i] for i, c in enumerate(model.curves)}
-    exc_counts = {label: solution[k + i] for i, label in enumerate(exc_labels)}
-    return curve_counts, exc_counts
+    return {c.label: solution[i] for i, c in enumerate(model.curves)}
 
 
 def fixed_part_forcing(
@@ -336,8 +332,7 @@ def fixed_part_forcing(
     if start.is_zero:
         return ForcingTrace(start=start, steps=(), conclusion=UniqueMember(()))
 
-    rep = _represent_over_visible_cone(model, start)
-    curve_counts = rep[0] if rep is not None else None
+    curve_counts = _represent_over_visible_cone(model, start)
     if step_cap is None:
         measure = sum(curve_counts.values()) if curve_counts else 0
         step_cap = max(10 * measure + 10, 1)

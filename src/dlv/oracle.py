@@ -14,12 +14,11 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from . import __version__
 from .constructions import PointSpec, blow_up, build_tower, double_cover, pullback
 from .errors import BoundTooLarge, RegistryTooLarge
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
 from .linsys import UniqueMember, fixed_part_forcing
-from .schema import SCHEMA_VERSION
+from .schema import document
 
 GRID_CAP = 10**8
 
@@ -40,15 +39,13 @@ class OracleReport:
 
 
 def oracle_report_to_dict(report: OracleReport) -> dict:
-    return {
-        "schema": "oracle-report",
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "suite": report.suite,
-        "trials": report.trials,
-        "failures": list(report.failures),
-        "seed": report.seed,
-    }
+    return document(
+        "oracle-report",
+        suite=report.suite,
+        trials=report.trials,
+        failures=list(report.failures),
+        seed=report.seed,
+    )
 
 
 def enumerate_decompositions(

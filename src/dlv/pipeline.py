@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from . import __version__ as TOOL_VERSION
+from . import __version__
 from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
 from .errors import InvalidParameter, NotCertified
 from .lattice import DivisorClass
@@ -44,7 +44,7 @@ from .linsys import (
     fixed_part_forcing,
     h0_unique_member,
 )
-from .schema import SCHEMA_VERSION
+from .schema import document
 
 VERIFIED = "Verified"
 BEYOND_THRESHOLD = "BeyondThreshold"
@@ -99,7 +99,6 @@ class VerificationReport:
     m_max: int
     instances: tuple[InstanceResult, ...]
     summary: str
-    tool_version: str = TOOL_VERSION
 
 
 def _transfer(
@@ -318,24 +317,17 @@ def instance_to_dict(result: InstanceResult) -> dict:
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "schema": "verification-report",
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": report.tool_version,
-        "n": report.n,
-        "m_max": report.m_max,
-        "instances": [instance_to_dict(r) for r in report.instances],
-        "summary": report.summary,
-    }
+    return document(
+        "verification-report",
+        n=report.n,
+        m_max=report.m_max,
+        instances=[instance_to_dict(r) for r in report.instances],
+        summary=report.summary,
+    )
 
 
 def sweep_to_dict(reports) -> dict:
-    return {
-        "schema": "sweep-report",
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-        "reports": [report_to_dict(r) for r in reports],
-    }
+    return document("sweep-report", reports=[report_to_dict(r) for r in reports])
 
 
 def canonical_json(obj: dict) -> str:
@@ -348,7 +340,7 @@ def render_report_text(report: VerificationReport) -> str:
     """Human-readable table carrying the same numbers as the JSON."""
     header = (
         f"verification report  n={report.n}  certified threshold m={m_threshold(report.n)}  "
-        f"(instances m=1..{report.m_max + 1})  tool {report.tool_version}"
+        f"(instances m=1..{report.m_max + 1})  tool {__version__}"
     )
     rows = [("m", "A^2", "D^2", "certificate", "h0", "status")]
     for r in report.instances:

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from dlv.cli import main
+from dlv.pipeline import canonical_json
+from dlv.schema import REPORT_SCHEMA
 
 
 def run(capsys, *argv):
@@ -84,6 +86,34 @@ def test_pair_cross_model_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parens", "minus"]
+)
+def test_pair_deep_nesting_is_an_expression_error(capsys, expr):
+    code, out, err = run(capsys, "pair", "--n", "3", f"--expr={expr}")
+    assert code == 1
+    assert "nesting deeper than 200 levels (at offset 200)" in err
+
+
+def test_pair_long_literal_prints_in_full(capsys):
+    # 5000 digits: past the int<->str limit of 4300 that Python sets by default
+    literal = "9" * 5000
+    code, out, err = run(capsys, "pair", "--n", "3", "--expr", literal)
+    assert code == 0
+    assert out == literal + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pair_long_product_prints_in_full(capsys, fmt):
+    # (10**3000 - 1)**2 = 10**6000 - 2 * 10**3000 + 1 has 6000 digits
+    nines = "9" * 3000
+    code, out, err = run(
+        capsys, "pair", "--n", "3", "--expr", f"{nines}*{nines}", "--format", fmt
+    )
+    assert code == 0
+    assert "9" * 2999 + "8" + "0" * 2999 + "1" in out
+
+
 def test_sweep_text_counter_on_stderr(capsys):
     code, out, err = run(capsys, "sweep", "--n-range", "3..5")
     assert code == 0
@@ -117,6 +147,44 @@ def test_sweep_json_digest_is_pinned(tmp_path):
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "c8d6f797eb6326a8b34ce9bc127cebce499e70ce0af669f4c31ece64002c6150"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("oracle", "--n-range", "3..3", "--m-max", "2", "--trials", "10"),
+            "a76a50be39895ec538ce30914dd636aad5261ae1fe99bfa5f6560521798c01b9",
+        ),
+        (
+            ("pair", "--n", "7", "--expr", "(2*A - R).G_n"),
+            "426b31da98b613aa4670c8229cc393b87ab8dd890896084b79a59ea9b803d17d",
+        ),
+        (
+            ("pair", "--n", "3", "--expr", "2*A - R"),
+            "d44fcfa6d7bc700e6da6aabbeb3da3855746f7f90b86bd91b63405ed665f7889",
+        ),
+        (
+            ("verify", "--n", "5", "--m", "3"),
+            "e19a98fe9eb9fa806d3a1dc0f72faac4f1701532c0eb97e181061185fb94be85",
+        ),
+    ],
+    ids=["oracle-run", "pair-result-pairing", "pair-result-class", "verification-report"],
+)
+def test_document_digest_is_pinned(tmp_path, monkeypatch, argv, digest):
+    # every document kind passes the schema self-check (exit 0, not 2) and
+    # keeps its bytes
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    out = tmp_path / "document.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_report_schema_digest_is_pinned():
+    assert (
+        hashlib.sha256(canonical_json(REPORT_SCHEMA).encode()).hexdigest()
+        == "68f9b65ba3c8bece35725685d96185c55ca95478e9f56f155a93ec6d584dc186"
     )
 
 

@@ -98,3 +98,11 @@ def test_cross_model_pairing_rejected():
 def test_trailing_garbage_rejected():
     with pytest.raises(ExprSyntaxError):
         evaluate(3, "A.A A")
+
+
+def test_nesting_cap_is_200_levels():
+    assert evaluate(3, "(" * 200 + "1" + ")" * 200) == 1
+    assert evaluate(3, "-" * 200 + "1") == 1
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        evaluate(3, "(" * 201 + "1" + ")" * 201)
+    assert excinfo.value.position == 200

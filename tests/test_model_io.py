@@ -40,6 +40,19 @@ def test_loader_validates(tower_3):
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+@pytest.mark.parametrize("where", ["gram", "coeffs"])
+def test_loader_rejects_values_that_are_not_ints(tower_3, where, bad):
+    # each of these used to load as the int 1, the value it replaces
+    data = model_to_dict(tower_3.base)
+    if where == "gram":
+        data["gram"][0][1] = bad
+    else:
+        data["curves"][0]["coeffs"][0] = bad
+    with pytest.raises(InvalidModel):
+        model_from_dict(data)
+
+
 def test_large_entries_survive_round_trip():
     from dlv import build_abelian_product
 
