@@ -46,6 +46,7 @@ from .constructions import (
     strict_transform,
 )
 from .linsys import (
+    ForcingRun,
     ForcingStep,
     ForcingTrace,
     Inconclusive,

@@ -3,7 +3,8 @@
 Subcommands: ``verify`` (one n), ``sweep`` (an odd range), ``oracle``
 (independent check suites), ``pair`` (ad-hoc expression evaluation).
 Exit codes: 0 on full success, 1 on usage errors, 2 on any failed
-instance or oracle failure.  All numbers print in full; JSON output is
+instance or oracle failure, 3 on an internal error (any other
+exception, reported in one line).  All numbers print in full; JSON output is
 byte-deterministic for identical inputs.
 """
 
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"dlv: error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # anything else: one line, never a traceback
+        print(f"dlv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -498,21 +498,30 @@ def _exact_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _required(data: dict, key: str, where: str = "a model"):
+    try:
+        return data[key]
+    except KeyError:
+        raise InvalidModel(f"{where} lacks the required key {key!r}") from None
+
+
 def model_from_dict(data: dict) -> SurfaceModel:
-    model_id = data["model_id"]
+    model_id = _required(data, "model_id")
     return SurfaceModel(
         model_id=model_id,
-        basis=tuple(data["basis"]),
-        gram=tuple(_exact_ints(row, "Gram entries") for row in data["gram"]),
+        basis=tuple(_required(data, "basis")),
+        gram=tuple(_exact_ints(row, "Gram entries") for row in _required(data, "gram")),
         curves=tuple(
             RegisteredCurve(
-                label=c["label"],
-                cls=DivisorClass(model_id, _exact_ints(c["coeffs"], "coefficients")),
+                label=_required(c, "label", "a curve"),
+                cls=DivisorClass(
+                    model_id, _exact_ints(_required(c, "coeffs", "a curve"), "coefficients")
+                ),
                 note=c.get("note", ""),
             )
-            for c in data["curves"]
+            for c in _required(data, "curves")
         ),
-        kind=data["kind"],
+        kind=_required(data, "kind"),
         provenance=tuple(data.get("provenance", ())),
         exceptional_labels=tuple(data.get("exceptional_labels", ())),
     )

@@ -40,6 +40,19 @@ class UnknownIdentifier(ExprError):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*'*)|([+\-*.()]))")
 
+# Python refuses int() on strings longer than its int<->str digit limit
+# (4300 by default); a literal is converted in parts no longer than this.
+_DIGIT_CHUNK = 4000
+
+
+def _int_literal(digits: str) -> int:
+    """The exact value of a decimal literal of any length, without touching
+    the interpreter-wide digit limit."""
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    low = len(digits) // 2
+    return _int_literal(digits[:-low]) * 10**low + _int_literal(digits[-low:])
+
 
 def _tokenize(text: str):
     tokens = []
@@ -53,7 +66,7 @@ def _tokenize(text: str):
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if match.group(1) is not None:
-            tokens.append(("int", int(match.group(1)), match.start(1)))
+            tokens.append(("int", _int_literal(match.group(1)), match.start(1)))
         elif match.group(2) is not None:
             tokens.append(("ident", match.group(2), match.start(2)))
         elif match.group(3) is not None:

@@ -118,6 +118,9 @@ class SurfaceModel:
     provenance: tuple[str, ...] = ()
     exceptional_labels: tuple[str, ...] = ()
     _basis_index: dict = field(default_factory=dict, repr=False, compare=False)
+    # Built by the forcing engine at the model's first forcing; a copy made
+    # with ``replace`` starts without one.
+    _forcing_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))

@@ -28,13 +28,28 @@ alternating subtraction on the verified tower and keeps traces
 deterministic.  A conclusion of ``Inconclusive`` is an honest result, not
 an error: the engine never converts "could not certify" into a claim.
 
-All functions are pure and all results immutable; concurrent use is safe.
+Forcing works on integer vectors, not on classes.  At a model's first
+forcing it builds a plan, kept with the model: each curve's row of
+gram @ curve, the curve-by-curve pairing matrix, and one fraction-free
+(Bareiss) elimination of the visible-cone columns.  A forcing then writes
+its start over the cone with one integer matrix-vector product, and each
+subtraction lowers the vector of pairings by one row of the pairing
+matrix.  When the subtracted curves repeat a cycle, pairings and counts
+are affine in the number of passes, so the engine computes exactly how
+many passes the selection rule keeps making and applies them at once.  A
+trace stores these runs; its steps, residuals included, are expanded only
+on request.  ``oracle.stepwise_forcing`` keeps the one-step-at-a-time
+engine as the reference the tests compare against.
+
+All functions are pure and all results immutable; concurrent use is safe
+(the plan and the expanded steps are caches, and a race only builds one
+twice).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .constructions import MorphismMap, pullback
 from .errors import (
@@ -46,7 +61,7 @@ from .errors import (
     UnknownCurve,
     WrongSurfaceKind,
 )
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
 
 NEF_RULE_CITATION = (
     "an effective class on an abelian surface is nef (no curve on it has "
@@ -243,71 +258,231 @@ class ForcingStep:
 
 
 @dataclass(frozen=True)
+class ForcingRun:
+    """``repeats`` consecutive passes through one cycle of subtractions.
+
+    Pass k (counting from 0) subtracts ``curves[s]`` at pairing
+    ``pairings[s] + k * shifts[s]``, for each s in cycle order.
+    """
+
+    curves: tuple[RegisteredCurve, ...]
+    pairings: tuple[int, ...]
+    shifts: tuple[int, ...]
+    repeats: int
+
+
+@dataclass(frozen=True)
 class ForcingTrace:
+    """A forcing as its runs, in order, and its conclusion.
+
+    ``steps`` expands the runs into one :class:`ForcingStep` per
+    subtraction, residual included; it is built on first access.
+    """
+
     start: DivisorClass
-    steps: tuple[ForcingStep, ...]
+    runs: tuple[ForcingRun, ...]
     conclusion: UniqueMember | Inconclusive
 
+    def step_pairings(self) -> list[int]:
+        """The pairing value of every subtraction, in order."""
+        values: list[int] = []
+        for run in self.runs:
+            period = len(run.curves)
+            block = [0] * (period * run.repeats)
+            for s, (first, shift) in enumerate(zip(run.pairings, run.shifts)):
+                # each cycle position is an arithmetic progression over the passes
+                block[s::period] = (
+                    range(first, first + run.repeats * shift, shift)
+                    if shift
+                    else [first] * run.repeats
+                )
+            values += block
+        return values
 
-def _solve_exact(columns: list[tuple[int, ...]], rhs: tuple[int, ...]) -> list[int] | None:
-    """Solve sum x_j * columns[j] = rhs for a unique integer solution.
+    @cached_property
+    def steps(self) -> tuple[ForcingStep, ...]:
+        residual = self.start.coeffs
+        steps = []
+        for run in self.runs:
+            for k in range(run.repeats):
+                for curve, first, shift in zip(run.curves, run.pairings, run.shifts):
+                    residual = tuple(r - c for r, c in zip(residual, curve.cls.coeffs))
+                    steps.append(
+                        ForcingStep(
+                            curve_label=curve.label,
+                            pairing_value=first + k * shift,
+                            residual_after=DivisorClass(self.start.model_id, residual),
+                        )
+                    )
+        return tuple(steps)
 
-    Returns None when the system is unsolvable, the solution is not
-    integral, or the columns are dependent (solution not unique).
-    Exact Gaussian elimination over the rationals; sizes here are tiny.
+
+def _fraction_free_inverse(
+    columns: list[tuple[int, ...]], n_rows: int
+) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """Bareiss (1968) fraction-free Gauss-Jordan elimination of ``columns``.
+
+    Returns ``(inverse, det)`` such that, whenever sum x_j * columns[j] = b
+    has a solution, it is unique and det * x = inverse @ b; returns None
+    when the columns are linearly dependent.  Every intermediate entry is a
+    minor of [columns | identity], so each division is exact.
     """
-    n_rows = len(rhs)
     n_cols = len(columns)
     aug = [
-        [Fraction(columns[j][i]) for j in range(n_cols)] + [Fraction(rhs[i])]
+        [col[i] for col in columns] + [int(i == j) for j in range(n_rows)]
         for i in range(n_rows)
     ]
-    pivot_of_col: list[int | None] = [None] * n_cols
-    row = 0
+    previous = 1
     for col in range(n_cols):
-        sel = None
-        for r in range(row, n_rows):
-            if aug[r][col]:
-                sel = r
-                break
+        sel = next((r for r in range(col, n_rows) if aug[r][col]), None)
         if sel is None:
-            return None  # dependent columns: representation would not be unique
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
+            return None  # dependent columns: a representation would not be unique
+        aug[col], aug[sel] = aug[sel], aug[col]
+        pivot_row = aug[col]
+        pivot = pivot_row[col]
         for r in range(n_rows):
-            if r != row and aug[r][col]:
+            if r != col:
                 factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivot_of_col[col] = row
-        row += 1
-    for r in range(row, n_rows):
-        if aug[r][n_cols]:
-            return None  # inconsistent
-    out = []
-    for col in range(n_cols):
-        val = aug[pivot_of_col[col]][n_cols]
-        if val.denominator != 1:
-            return None  # not an integer combination
-        out.append(int(val))
-    return out
+                aug[r] = [
+                    (pivot * a - factor * b) // previous for a, b in zip(aug[r], pivot_row)
+                ]
+        previous = pivot
+    return tuple(tuple(aug[j][n_cols:]) for j in range(n_cols)), previous
 
 
-def _represent_over_visible_cone(
-    model: SurfaceModel, d: DivisorClass
-) -> dict[str, int] | None:
-    """Write ``d`` over the registered curves plus exceptional classes.
+@dataclass(frozen=True)
+class _ForcingPlan:
+    """What forcing needs of one model, computed at its first forcing.
 
-    Returns the registered-curve counts of the unique exact integer
-    representation, or None when no such representation exists.
+    ``rows[i]`` is gram @ curve_i, so a class pairs with curve i in one dot
+    product; ``meets[j][i]`` is curve_j . curve_i, the change in every
+    pairing when curve j is subtracted.  ``columns`` span the visible cone
+    (the registered curves, then the exceptional classes) and ``solver``
+    is their fraction-free inverse, or None when they are dependent.
     """
-    columns = [curve.cls.coeffs for curve in model.curves]
-    for label in model.exceptional_labels:
-        columns.append(model.basis_class(label).coeffs)
-    solution = _solve_exact(columns, d.coeffs)
-    if solution is None:
-        return None
-    return {c.label: solution[i] for i, c in enumerate(model.curves)}
+
+    rows: tuple[tuple[int, ...], ...]
+    meets: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    solver: tuple[tuple[tuple[int, ...], ...], int] | None
+
+    @classmethod
+    def of(cls, model: SurfaceModel) -> "_ForcingPlan":
+        plan = model._forcing_plan
+        if plan is None:
+            curves = [curve.cls.coeffs for curve in model.curves]
+            # the Gram matrix is symmetric, so its rows are its columns
+            rows = tuple(tuple(_dot(curve, g) for g in model.gram) for curve in curves)
+            meets = tuple(tuple(_dot(curve, row) for row in rows) for curve in curves)
+            columns = curves + [
+                model.basis_class(label).coeffs for label in model.exceptional_labels
+            ]
+            plan = cls(rows, meets, tuple(columns), _fraction_free_inverse(columns, model.size))
+            object.__setattr__(model, "_forcing_plan", plan)
+        return plan
+
+    def represent(self, coeffs: tuple[int, ...]) -> list[int] | None:
+        """The unique exact integer x with sum x_j * columns[j] = coeffs,
+        or None when there is none."""
+        if self.solver is None:
+            return None
+        inverse, det = self.solver
+        solution = []
+        for row in inverse:
+            value, rest = divmod(_dot(row, coeffs), det)
+            if rest:
+                return None  # not an integer combination, or inconsistent
+            solution.append(value)
+        for i, target in enumerate(coeffs):
+            if sum(x * col[i] for x, col in zip(solution, self.columns)) != target:
+                return None  # inconsistent: coeffs lie outside the span
+        return solution
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v) if a)
+
+
+def _first_all_negative(pieces) -> int | None:
+    """Smallest k >= 0 with a + b*k < 0 for every ``(a, b)`` in ``pieces``,
+    or None when there is none.
+
+    Each inequality holds on a half-line of k, so together they hold on an
+    interval; its start is where a condition excluded by one of them
+    first fails.  The complement of that interval need not be an
+    interval, so the first failure cannot be found by bisection.
+    """
+    lo, hi = 0, None
+    for a, b in pieces:
+        if b > 0:  # holds for k <= (-a - 1) / b
+            top = (-a - 1) // b
+            hi = top if hi is None else min(hi, top)
+        elif b < 0:  # holds for k >= a / -b + 1
+            lo = max(lo, a // -b + 1)
+        elif a >= 0:
+            return None
+    return lo if hi is None or lo <= hi else None
+
+
+def _cycle_run(
+    meets, pairings: list[int], counts: list[int], cycle: list[int], steps_left: int
+) -> tuple[int, list[int], list[int]]:
+    """How many passes through ``cycle`` the selection rule makes in a row
+    from this state, with the pairing before each subtraction of the first
+    pass and the change in every pairing per pass.
+
+    Before step s of pass k, pairing i is ``p_i + k * shift_i`` and count
+    i is ``c_i - k * uses_i``, both affine in k.  The passes stop at the
+    smallest k where, at some step, the chosen curve stops pairing
+    negatively or runs out of count (which includes the residual reaching
+    zero), or a competitor starts to win, or the cap would be passed.
+    """
+    size = len(pairings)
+    shift = [0] * size
+    uses = [0] * size
+    for j in cycle:
+        uses[j] += 1
+        for i in range(size):
+            shift[i] -= meets[j][i]
+    repeats = steps_left // len(cycle)
+    p, c = list(pairings), list(counts)
+    firsts = []
+    for j in cycle:
+        firsts.append(p[j])
+        bounds = [
+            _first_all_negative([(-p[j] - 1, -shift[j])]),  # pairing turns >= 0
+            _first_all_negative([(c[j] - 1, -uses[j])]),  # count falls to <= 0
+        ]
+        for i in range(size):
+            if i != j:
+                tie = int(i < j)  # an earlier curve also wins a tie
+                bounds.append(
+                    _first_all_negative(
+                        [
+                            (p[i], shift[i]),
+                            (-c[i], uses[i]),
+                            (p[i] - p[j] - tie, shift[i] - shift[j]),
+                        ]
+                    )
+                )
+        repeats = min([repeats] + [b for b in bounds if b is not None])
+        for i in range(size):
+            p[i] -= meets[j][i]
+        c[j] -= 1
+    return repeats, firsts, shift
+
+
+# The longest cycle the engine looks for; a longer one is stepped through.
+# On the verified tower the cycle is F', Gamma_n'.
+_MAX_CYCLE = 8
+
+
+def _repeated_tail(history: list[int]) -> list[int] | None:
+    """The shortest block that ends ``history`` twice in a row, if any."""
+    for length in range(1, min(len(history) // 2, _MAX_CYCLE) + 1):
+        if history[-length:] == history[-2 * length : -length]:
+            return history[-length:]
+    return None
 
 
 def fixed_part_forcing(
@@ -327,77 +502,82 @@ def fixed_part_forcing(
     ``step_cap`` defaults to 10 x (sum of the start's curve coefficients)
     + 10 as a hard backstop; each subtraction lowers that sum by exactly
     one, so a concluding run of the verified tower never nears the cap.
+
+    Once the subtractions repeat a cycle, the engine computes exactly how
+    many more passes the rule would make through it and applies them at
+    once, as one :class:`ForcingRun`.
     """
     model._check_owned(start)
     if start.is_zero:
-        return ForcingTrace(start=start, steps=(), conclusion=UniqueMember(()))
+        return ForcingTrace(start=start, runs=(), conclusion=UniqueMember(()))
 
-    curve_counts = _represent_over_visible_cone(model, start)
+    plan = _ForcingPlan.of(model)
+    curves = model.curves
+    solution = plan.represent(start.coeffs)
+    if solution is None:
+        # no curve is visibly contained, and the residual never reaches zero
+        counts, clear = [0] * len(curves), False
+    else:
+        counts, clear = solution[: len(curves)], not any(solution[len(curves) :])
     if step_cap is None:
-        measure = sum(curve_counts.values()) if curve_counts else 0
-        step_cap = max(10 * measure + 10, 1)
+        step_cap = max(10 * sum(counts) + 10, 1)
 
-    # Precompute gram @ curve for each registered curve: pairing against a
-    # residual is then a single dot product.
-    gram = model.gram
-    paired_rows = []
-    for curve in model.curves:
-        paired_rows.append(
-            tuple(
-                sum(gram[i][j] * c for i, c in enumerate(curve.cls.coeffs) if c)
-                for j in range(model.size)
-            )
-        )
-
-    residual = list(start.coeffs)
-    steps: list[ForcingStep] = []
-    subtracted: dict[str, int] = {}
+    initial = list(counts)
+    pairings = [_dot(start.coeffs, row) for row in plan.rows]
+    meets = plan.meets
+    runs: list[ForcingRun] = []
+    history: list[int] = []  # single subtractions since the last cycle tried
+    taken = 0
     conclusion: UniqueMember | Inconclusive
     while True:
-        if not any(residual):
+        if clear and not any(counts):
             decomposition = tuple(
-                (label, subtracted[label])
-                for label in model.curve_labels
-                if subtracted.get(label, 0) > 0
+                (curve.label, before - after)
+                for curve, before, after in zip(curves, initial, counts)
+                if before > after
             )
             conclusion = UniqueMember(decomposition)
             break
-        best = None  # (pairing value, registry index)
+        best = None
         has_negative = False
-        for idx, row in enumerate(paired_rows):
-            value = 0
-            for r, g in zip(residual, row):
-                if r:
-                    value += r * g
+        for idx, value in enumerate(pairings):
             if value < 0:
                 has_negative = True
-                if curve_counts is not None and curve_counts[model.curves[idx].label] > 0:
-                    cand = (value, idx)
-                    if best is None or cand < best:
-                        best = cand
+                if counts[idx] > 0 and (best is None or value < pairings[best]):
+                    best = idx
         if not has_negative:
             conclusion = Inconclusive("no forcing curve")
             break
         if best is None:
             conclusion = Inconclusive("outside registry cone")
             break
-        if len(steps) >= step_cap:
+        if taken >= step_cap:
             conclusion = Inconclusive("cap")
             break
-        value, idx = best
-        curve = model.curves[idx]
-        for i, c in enumerate(curve.cls.coeffs):
-            residual[i] -= c
-        curve_counts[curve.label] -= 1
-        subtracted[curve.label] = subtracted.get(curve.label, 0) + 1
-        steps.append(
-            ForcingStep(
-                curve_label=curve.label,
-                pairing_value=value,
-                residual_after=DivisorClass(model.model_id, tuple(residual)),
+        runs.append(ForcingRun((curves[best],), (pairings[best],), (0,), 1))
+        pairings = [p - d for p, d in zip(pairings, meets[best])]
+        counts[best] -= 1
+        taken += 1
+        history.append(best)
+        cycle = _repeated_tail(history)
+        if cycle is None:
+            continue
+        history = []
+        repeats, firsts, shift = _cycle_run(meets, pairings, counts, cycle, step_cap - taken)
+        if repeats:
+            runs.append(
+                ForcingRun(
+                    tuple(curves[j] for j in cycle),
+                    tuple(firsts),
+                    tuple(shift[j] for j in cycle),
+                    repeats,
+                )
             )
-        )
-    return ForcingTrace(start=start, steps=tuple(steps), conclusion=conclusion)
+            pairings = [p + repeats * d for p, d in zip(pairings, shift)]
+            for j in cycle:
+                counts[j] -= repeats
+            taken += repeats * len(cycle)
+    return ForcingTrace(start=start, runs=tuple(runs), conclusion=conclusion)
 
 
 @dataclass(frozen=True)
@@ -427,13 +607,13 @@ def forcing_rule_application(trace: ForcingTrace) -> RuleApplication:
         values = {
             "start": list(trace.start.coeffs),
             "decomposition": trace.conclusion.as_dict(),
-            "step_pairings": [s.pairing_value for s in trace.steps],
+            "step_pairings": trace.step_pairings(),
         }
     else:
         values = {
             "start": list(trace.start.coeffs),
             "inconclusive": trace.conclusion.reason,
-            "steps_taken": len(trace.steps),
+            "steps_taken": len(trace.step_pairings()),
         }
     return RuleApplication(rule="fixed-component-forcing", citation=FORCING_CITATION, values=values)
 

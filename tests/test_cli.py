@@ -143,11 +143,12 @@ def test_sweep_json_digest_is_pinned(tmp_path):
     # the report contract is byte-level: any change to these bytes needs a
     # schema_version bump, not a new digest
     out = tmp_path / "sweep.json"
-    assert main(["sweep", "--n-range", "3..9", "--format", "json", "--out", str(out)]) == 0
-    assert (
-        hashlib.sha256(out.read_bytes()).hexdigest()
-        == "c8d6f797eb6326a8b34ce9bc127cebce499e70ce0af669f4c31ece64002c6150"
-    )
+    for n_range, digest in [
+        ("3..9", "c8d6f797eb6326a8b34ce9bc127cebce499e70ce0af669f4c31ece64002c6150"),
+        ("3..31", "05599e51b38da4a65e094de654ce12becf665ebf30041455f16a37472467fde1"),
+    ]:
+        assert main(["sweep", "--n-range", n_range, "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, n_range
 
 
 @pytest.mark.parametrize(
@@ -298,3 +299,14 @@ def test_failed_instance_aborts_sweep(capsys, monkeypatch):
     assert code == 2
     assert "aborting sweep" in err
     assert "n=7" not in out  # n=7 and n=9 never ran
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dlv.cli.verify", broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 3
+    assert err == "dlv: internal error: RuntimeError: boom\n"
+    assert out == ""

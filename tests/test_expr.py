@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dlv import DivisorClass, MismatchedModel, build_tower, parse_expr
@@ -106,3 +108,19 @@ def test_nesting_cap_is_200_levels():
     with pytest.raises(ExprSyntaxError) as excinfo:
         evaluate(3, "(" * 201 + "1" + ")" * 201)
     assert excinfo.value.position == 200
+
+
+def test_long_literal_converts_exactly():
+    # int() refuses a literal longer than Python's digit limit (4300 by
+    # default); the parser converts it without lifting that limit
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the CLI lifts it, tests may run after it
+    try:
+        assert evaluate(3, "9" * 5000) == 10**5000 - 1
+        if has_limit:
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(saved)

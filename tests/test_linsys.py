@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dlv import (
+    DivisorClass,
     Inconclusive,
     MismatchedModel,
     NonEffectivityCertificate,
     NotACover,
     NotAStrictTransformShape,
     NotCertified,
+    RegisteredCurve,
+    SurfaceModel,
     UniqueMember,
     UnknownCurve,
     WrongSurfaceKind,
@@ -17,8 +22,11 @@ from dlv import (
     cover_section_split,
     fixed_part_forcing,
     h0_unique_member,
+    m_threshold,
     pullback,
 )
+from dlv.linsys import _first_all_negative, _ForcingPlan
+from dlv.oracle import _solve_exact, stepwise_forcing
 
 
 # -- non-effectivity certificates ---------------------------------------------
@@ -223,6 +231,112 @@ def test_forcing_outside_registry_cone(tower_3):
     trace = fixed_part_forcing(bb, start)
     assert isinstance(trace.conclusion, Inconclusive)
     assert trace.conclusion.reason == "outside registry cone"
+
+
+# -- run-length forcing against the stepwise reference -------------------------
+
+
+def assert_matches_stepwise(model, start, step_cap=None):
+    trace = fixed_part_forcing(model, start, step_cap=step_cap)
+    steps, conclusion = stepwise_forcing(model, start, step_cap=step_cap)
+    assert trace.conclusion == conclusion
+    assert trace.steps == steps
+    assert trace.step_pairings() == [s.pairing_value for s in steps]
+    return trace
+
+
+@pytest.mark.parametrize("n", range(3, 32, 2))
+def test_forcing_matches_stepwise_on_the_tower(n):
+    tower = build_tower(n)
+    for m in range(1, m_threshold(n) + 2):
+        start = m * tower.classes["L"]
+        assert_matches_stepwise(tower.base_blowup, start)
+        # a cap of m stops halfway through the 2m subtractions
+        assert_matches_stepwise(tower.base_blowup, start, step_cap=m)
+
+
+def _random_registry(rng, tag):
+    size = rng.randint(2, 5)
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = rng.randint(-3, 0) if i == j else rng.randint(-1, 2)
+    basis = tuple(f"b_{i}" for i in range(size))
+    curves = []
+    for label in range(rng.randint(2, 4)):
+        coeffs = [rng.randint(-1, 2) for _ in range(size)]
+        coeffs[0] += not any(coeffs)
+        curves.append(RegisteredCurve(f"c_{label}", DivisorClass(tag, tuple(coeffs))))
+    exceptional = tuple(rng.sample(basis, rng.randint(0, 2)))
+    model = SurfaceModel(tag, basis, gram, tuple(curves), exceptional_labels=exceptional)
+    start = [0] * size
+    for curve in curves:
+        times = rng.randint(0, 40)
+        start = [s + times * c for s, c in zip(start, curve.cls.coeffs)]
+    for label in exceptional:
+        start[basis.index(label)] += rng.choice([0, 0, 0, 1, -1])
+    return model, DivisorClass(tag, tuple(start))
+
+
+def test_forcing_matches_stepwise_on_random_registries():
+    jumped = unique = 0
+    for trial in range(2400):
+        rng = random.Random(f"registry:{trial}")
+        model, start = _random_registry(rng, f"random({trial})")
+        cap = rng.choice([None, None, rng.randint(0, 30)])
+        trace = assert_matches_stepwise(model, start, step_cap=cap)
+        jumped += any(run.repeats > 1 for run in trace.runs)
+        unique += isinstance(trace.conclusion, UniqueMember)
+    # the sample must exercise the jump and every way a run can end
+    assert jumped > 500 and unique > 200
+
+
+def test_forcing_jumps_over_repeated_cycles():
+    tower = build_tower(61)
+    m = m_threshold(61)
+    trace = fixed_part_forcing(tower.base_blowup, m * tower.classes["L"])
+    assert m == 931
+    assert trace.conclusion.as_dict() == {"F'": m, "Gamma_n'": m}
+    assert len(trace.step_pairings()) == 2 * m
+    assert len(trace.runs) <= 5
+
+
+def test_first_failure_is_not_an_interval_end():
+    # a competitor wins for 2 <= k <= 4 only, so the curve that beats it
+    # stays chosen for k in {0, 1} and again from 5 on; the run must stop at
+    # 2, although a bisection between the valid ends 0 and 6 would not
+    wins = [(1, -1), (-5, 1)]  # 1 - k < 0 and k - 5 < 0
+    assert _first_all_negative(wins) == 2
+    assert [k for k in range(8) if all(a + b * k < 0 for a, b in wins)] == [2, 3, 4]
+    assert _first_all_negative([(-3, 0), (-1, 1)]) == 0
+    assert _first_all_negative([(0, 0)]) is None
+    assert _first_all_negative([(1, -1), (-2, 1)]) is None  # k >= 2 and k <= 1
+
+
+def test_cone_solve_matches_rational_elimination():
+    # the inputs cover unique integer solutions and all three ways to have
+    # none: dependent columns, an inconsistent system, a non-integral one
+    rng = random.Random("cone")
+    for trial in range(500):
+        size = rng.randint(1, 4)
+        columns = [
+            tuple(rng.randint(-3, 3) for _ in range(size)) for _ in range(rng.randint(1, size))
+        ]
+        columns = [c for c in columns if any(c)]
+        rhs = [0] * size
+        for column in columns:
+            times = rng.randint(-3, 3)
+            rhs = [r + times * c for r, c in zip(rhs, column)]
+        if rng.random() < 0.5:
+            rhs[rng.randrange(size)] += rng.randint(-2, 2)
+        tag = f"cone({trial})"
+        model = SurfaceModel(
+            tag,
+            tuple(f"b_{i}" for i in range(size)),
+            [[0] * size for _ in range(size)],
+            tuple(RegisteredCurve(f"c_{j}", DivisorClass(tag, c)) for j, c in enumerate(columns)),
+        )
+        assert _ForcingPlan.of(model).represent(tuple(rhs)) == _solve_exact(columns, tuple(rhs))
 
 
 # -- section counts -----------------------------------------------------------

@@ -53,6 +53,17 @@ def test_loader_rejects_values_that_are_not_ints(tower_3, where, bad):
         model_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key", ["model_id", "basis", "gram", "curves", "kind", "label", "coeffs"]
+)
+def test_loader_names_a_missing_key(tower_3, key):
+    # a missing key used to escape as a bare KeyError
+    data = model_to_dict(tower_3.base)
+    del (data["curves"][0] if key in ("label", "coeffs") else data)[key]
+    with pytest.raises(InvalidModel, match=repr(key)):
+        model_from_dict(data)
+
+
 def test_large_entries_survive_round_trip():
     from dlv import build_abelian_product
 
