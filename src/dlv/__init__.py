@@ -21,6 +21,7 @@ from .errors import (
     NotAStrictTransformShape,
     NotCertified,
     RegistryTooLarge,
+    SchemaViolation,
     UnknownCurve,
     WrongSurfaceKind,
 )

@@ -2,9 +2,10 @@
 
 Subcommands: ``verify`` (one n), ``sweep`` (an odd range), ``oracle``
 (independent check suites), ``pair`` (ad-hoc expression evaluation).
-Exit codes: 0 on full success, 1 on usage errors, 2 on any failed
-instance or oracle failure, 3 on an internal error (any other
-exception, reported in one line).  All numbers print in full; JSON output is
+Exit codes: 0 on full success, 1 on usage errors (an ``--out`` path that
+cannot be written included), 2 on any failed instance, oracle failure or
+schema violation, 3 on an internal error (any other exception, reported
+in one line).  All numbers print in full; JSON output is
 byte-deterministic for identical inputs.
 """
 
@@ -15,7 +16,7 @@ import sys
 
 from . import __version__
 from .constructions import build_tower, check_odd_n
-from .errors import DivisorLatticeError, InvalidParameter
+from .errors import DivisorLatticeError, InvalidParameter, SchemaViolation
 from .expr import ExprError, parse_expr
 from .lattice import format_class
 from .oracle import (
@@ -137,15 +138,18 @@ def _write(args, to_document, to_text) -> int:
         if schema_check_enabled():
             try:
                 validate_document(doc)
-            except Exception as exc:  # jsonschema.ValidationError
+            except SchemaViolation as exc:
                 print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
                 return 2
         text = canonical_json(doc)
     else:
         text = to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"dlv: error: cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0

@@ -489,15 +489,6 @@ def model_to_dict(model: SurfaceModel) -> dict:
     )
 
 
-def _exact_ints(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple; ``InvalidModel`` unless each is exactly an ``int``."""
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise InvalidModel(f"{what} must be integers, got {x!r}")
-    return values
-
-
 def _required(data: dict, key: str, where: str = "a model"):
     try:
         return data[key]
@@ -510,13 +501,11 @@ def model_from_dict(data: dict) -> SurfaceModel:
     return SurfaceModel(
         model_id=model_id,
         basis=tuple(_required(data, "basis")),
-        gram=tuple(_exact_ints(row, "Gram entries") for row in _required(data, "gram")),
+        gram=_required(data, "gram"),
         curves=tuple(
             RegisteredCurve(
                 label=_required(c, "label", "a curve"),
-                cls=DivisorClass(
-                    model_id, _exact_ints(_required(c, "coeffs", "a curve"), "coefficients")
-                ),
+                cls=DivisorClass(model_id, _required(c, "coeffs", "a curve")),
                 note=c.get("note", ""),
             )
             for c in _required(data, "curves")

@@ -60,6 +60,19 @@ class NotCertified(DivisorLatticeError):
         self.pairing_value = pairing_value
 
 
+class SchemaViolation(DivisorLatticeError):
+    """A JSON document does not match ``REPORT_SCHEMA``.
+
+    ``path`` holds the keys and indices from the document root to the
+    offending value; the message names it as a JSON path such as
+    ``$.reports[2].instances[0].status``.
+    """
+
+    def __init__(self, message: str, path: tuple = ()):
+        super().__init__(message)
+        self.path = path
+
+
 class BoundTooLarge(DivisorLatticeError):
     """An exhaustive enumeration grid would exceed the configured cap."""
 

@@ -4,7 +4,8 @@ A surface is modelled by an ordered basis of divisor-class labels together
 with a symmetric integer Gram matrix for the intersection pairing.  Divisor
 classes are integer coefficient vectors over that basis.  Everything is
 exact: coefficients and Gram entries are Python integers (arbitrary
-precision), and no rational or floating-point arithmetic ever enters.
+precision), checked to be exactly ``int`` when a class or model is built,
+and no rational or floating-point arithmetic ever enters.
 
 Models are *declared*, not derived: the Gram entries and the registry of
 classes known to be (irreducible) curves are geometric inputs, each carried
@@ -19,6 +20,17 @@ from dataclasses import dataclass, field, replace
 from .errors import InvalidModel, MismatchedModel, UnknownCurve
 
 SURFACE_KINDS = ("abelian", "blowup", "cover", "other")
+_INT = frozenset((int,))
+
+
+def _exact_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; ``InvalidModel`` unless each is exactly an
+    ``int`` (a bool, float or str never enters exact arithmetic)."""
+    values = tuple(values)
+    if not _INT.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) is not int)
+        raise InvalidModel(f"{what} must be integers, got {bad!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,7 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", _exact_ints(self.coeffs, "coefficients"))
 
     def _check_same(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -124,7 +136,9 @@ class SurfaceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in self.gram))
+        object.__setattr__(
+            self, "gram", tuple(_exact_ints(row, "Gram entries") for row in self.gram)
+        )
         object.__setattr__(self, "curves", tuple(self.curves))
         object.__setattr__(self, "provenance", tuple(self.provenance))
         object.__setattr__(self, "exceptional_labels", tuple(self.exceptional_labels))

@@ -6,13 +6,27 @@ kind), ``schema_version`` and ``tool_version``, built only by
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
 its own JSON output against it before writing it.
+
+:func:`validate_document` is a small checker of JSON Schema draft 2020-12
+that interprets exactly the keywords ``REPORT_SCHEMA`` uses: ``type``
+(``object``, ``array``, ``string``, ``integer``), ``const``, ``enum``,
+``minimum``, ``properties``, ``required``, ``additionalProperties: false``,
+``items`` and ``oneOf``.  It ignores ``$schema`` and ``$id`` and raises
+``ValueError`` on any other keyword, so the schema cannot outgrow it
+unnoticed.  A document that does not match raises
+:class:`~dlv.errors.SchemaViolation`, whose message names the JSON path of
+the offending value.  The tests compare it with ``jsonschema``'s
+``Draft202012Validator`` on thousands of mutated documents; ``jsonschema``
+is needed only there.
 """
 
 from __future__ import annotations
 
 import os
+import reprlib
 
 from . import __version__
+from .errors import SchemaViolation
 
 SCHEMA_VERSION = 1
 
@@ -111,8 +125,85 @@ def schema_check_enabled() -> bool:
 
 
 def validate_document(document: dict) -> None:
-    """Raise ``jsonschema.ValidationError`` when the document does not
-    match the embedded schema."""
-    import jsonschema
+    """Raise :class:`SchemaViolation` when the document does not match
+    ``REPORT_SCHEMA``."""
+    _check(document, REPORT_SCHEMA, ())
 
-    jsonschema.validate(instance=document, schema=REPORT_SCHEMA)
+
+# As in jsonschema: a bool is no integer, but an integral float is one.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _check(value, schema: dict, path: tuple) -> None:
+    """Raise :class:`SchemaViolation` unless ``value``, found at ``path``
+    (the keys and indices from the document root), matches ``schema``."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _TYPES[arg](value):
+                _fail(path, f"{reprlib.repr(value)} is not of type {arg!r}")
+        elif keyword == "const":
+            if not _equal(value, arg):
+                _fail(path, f"{reprlib.repr(value)} is not {arg!r}")
+        elif keyword == "enum":
+            if not any(_equal(value, each) for each in arg):
+                _fail(path, f"{reprlib.repr(value)} is not one of {arg!r}")
+        elif keyword == "minimum":
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and value < arg:
+                _fail(path, f"{reprlib.repr(value)} is less than the minimum of {arg!r}")
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for name, subschema in arg.items():
+                    if name in value:
+                        _check(value[name], subschema, (*path, name))
+        elif keyword == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        _fail(path, f"{name!r} is a required property")
+        elif keyword == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extras = value.keys() - schema.get("properties", {}).keys()
+                if extras:
+                    names = ", ".join(sorted(map(repr, extras)))
+                    _fail(path, f"unexpected properties {names}")
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    _check(item, arg, (*path, index))
+        elif keyword == "oneOf":
+            violations = []
+            for subschema in arg:
+                try:
+                    _check(value, subschema, path)
+                except SchemaViolation as exc:
+                    violations.append(exc)
+            matches = len(arg) - len(violations)
+            if matches == 0:
+                # the branch that got deepest is most likely the one meant
+                raise max(violations, key=lambda exc: len(exc.path))
+            if matches > 1:
+                _fail(path, f"{reprlib.repr(value)} matches {matches} oneOf branches, not one")
+        elif keyword not in ("$schema", "$id"):
+            raise ValueError(f"the schema checker does not support {keyword!r}: {arg!r}")
+
+
+def _equal(a, b) -> bool:
+    """JSON equality as in jsonschema: ``True`` is not ``1``, at any depth."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _fail(path: tuple, message: str):
+    where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    raise SchemaViolation(f"{where}: {message}", path)

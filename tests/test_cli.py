@@ -237,6 +237,42 @@ def test_out_file_writing(tmp_path, capsys):
     assert "Verified" in target.read_text()
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    # it used to end as "dlv: internal error: FileNotFoundError: ..." (exit 3)
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, "verify", "--n", "3", "--out", str(target))
+    assert code == 1
+    assert err.startswith(f"dlv: error: cannot write {target}: ")
+    assert out == ""
+
+
+def test_schema_violation_exits_two_and_names_the_path(capsys, monkeypatch):
+    import dlv.cli as cli_mod
+
+    real = cli_mod.report_to_dict
+
+    def tampered(report):
+        doc = real(report)
+        doc["instances"][1]["status"] = "Maybe"
+        return doc
+
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr(cli_mod, "report_to_dict", tampered)
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dlv: schema self-validation failed: $.instances[1].status: ")
+
+
+def test_schema_checker_fault_is_an_internal_error(capsys, monkeypatch):
+    # a checker that cannot read the schema is a bug (3), not a bad document (2)
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr("dlv.schema.REPORT_SCHEMA", {"maxLength": 3})
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json")
+    assert code == 3
+    assert err.startswith("dlv: internal error: ValueError: ")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, out, err = run(capsys)
     assert code == 1

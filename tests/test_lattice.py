@@ -92,6 +92,21 @@ def test_gram_must_be_square():
         SurfaceModel(model_id="bad", basis=("a", "b"), gram=((0, 1),))
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("where", ["gram", "coeffs"])
+def test_values_that_are_not_ints_are_rejected(where, bad):
+    # each of these used to enter exact arithmetic: 0.5 paired as 0.5, True as 1
+    if where == "gram":
+        with pytest.raises(InvalidModel, match="Gram entries must be integers"):
+            SurfaceModel(model_id="x", basis=("a", "b"), gram=((0, bad), (bad, 0)))
+    else:
+        model = SurfaceModel(model_id="x", basis=("a", "b"), gram=((0, 1), (1, 0)))
+        with pytest.raises(InvalidModel, match="coefficients must be integers"):
+            DivisorClass("x", (1, bad))
+        with pytest.raises(InvalidModel, match="coefficients must be integers"):
+            model.divisor_class((1, bad))
+
+
 def test_abelian_model_rejects_negative_curves():
     mid = "bad-abelian"
     with pytest.raises(InvalidModel):

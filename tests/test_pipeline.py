@@ -8,6 +8,7 @@ from dlv import (
     BEYOND_THRESHOLD,
     VERIFIED,
     InvalidParameter,
+    SchemaViolation,
     canonical_json,
     m_threshold,
     render_report_text,
@@ -18,7 +19,7 @@ from dlv import (
     verify,
     verify_instance,
 )
-from dlv.schema import validate_document
+from dlv.schema import REPORT_SCHEMA, validate_document
 
 
 def brute_force_threshold(n):
@@ -183,8 +184,10 @@ def test_report_json_validates_against_schema():
 def test_schema_rejects_malformed_document():
     document = report_to_dict(verify(3))
     document["instances"][0]["status"] = "Maybe"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaViolation, match=r"^\$\.instances\[0\]\.status: "):
         validate_document(document)
+    with pytest.raises(jsonschema.ValidationError):  # the reference agrees
+        jsonschema.validate(document, REPORT_SCHEMA)
 
 
 def test_text_rendering_contains_the_numbers():
