@@ -45,40 +45,27 @@ from .schema import document
 
 @dataclass(frozen=True)
 class MorphismMap:
-    """Pullback data for a blow-up or a cyclic cover.
+    """Pullback data for a blow-up or a double cover.
 
     ``source_model`` is the constructed surface (the domain of the
-    morphism), ``target_model`` the base it maps onto.  ``pullback_matrix``
-    sends target-basis classes to source-model coefficient vectors; its
-    shape is (source size) x (target size).  Pairings of pulled-back
-    classes scale by ``pairing_scale`` (1 for blow-ups, the degree for
-    covers).  Blow-ups carry their exceptional labels and basis positions;
-    covers retain the half-branch class for later section splitting.
+    morphism), ``target_model`` the base it maps onto, and ``target_size``
+    the size of the base basis.  Both constructions keep the base basis,
+    in order, as the first labels of the new one; a blow-up appends its
+    ``exceptional_labels``.  So a pullback keeps a class's coefficients and
+    puts 0 on each exceptional class.  Covers retain the half-branch class
+    for later section splitting.
     """
 
     kind: str  # "blowup" | "cover"
     source_model: str
     target_model: str
-    pullback_matrix: tuple[tuple[int, ...], ...]
-    pairing_scale: int
+    target_size: int
     exceptional_labels: tuple[str, ...] = ()
-    exceptional_positions: tuple[int, ...] = ()
     branch_half: DivisorClass | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pullback_matrix", tuple(tuple(row) for row in self.pullback_matrix)
-        )
-        object.__setattr__(self, "exceptional_labels", tuple(self.exceptional_labels))
-        object.__setattr__(self, "exceptional_positions", tuple(self.exceptional_positions))
         if self.kind not in ("blowup", "cover"):
             raise InvalidParameter(f"unknown morphism kind {self.kind!r}")
-        if self.pairing_scale < 1:
-            raise InvalidParameter("pairing_scale must be a positive integer")
-
-    @property
-    def target_size(self) -> int:
-        return len(self.pullback_matrix[0]) if self.pullback_matrix else 0
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,7 @@ class PointSpec:
 
 
 def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
-    """Apply the pullback matrix to a class on the base model."""
+    """Pull ``d`` back: its coefficients, then a 0 per exceptional class."""
     if d.model_id != morphism.target_model:
         raise MismatchedModel(
             f"pullback along {morphism.source_model!r} -> {morphism.target_model!r} "
@@ -123,11 +110,8 @@ def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
         )
     if len(d.coeffs) != morphism.target_size:
         raise MismatchedModel("coefficient vector does not match the base basis size")
-    coeffs = tuple(
-        sum(row[j] * c for j, c in enumerate(d.coeffs) if c)
-        for row in morphism.pullback_matrix
-    )
-    return DivisorClass(morphism.source_model, coeffs)
+    zeros = (0,) * len(morphism.exceptional_labels)
+    return DivisorClass(morphism.source_model, d.coeffs + zeros)
 
 
 def blow_up(
@@ -182,26 +166,20 @@ def blow_up(
         kind="blowup",
         source_model=new_id,
         target_model=model.model_id,
-        pullback_matrix=tuple(
-            tuple(1 if i == j else 0 for j in range(old_n)) for i in range(old_n)
-        )
-        + tuple((0,) * old_n for _ in range(k)),
-        pairing_scale=1,
+        target_size=old_n,
         exceptional_labels=exceptional_labels,
-        exceptional_positions=tuple(range(old_n, old_n + k)),
     )
 
     curves = []
     for curve in model.curves:
         mults = tuple(p.multiplicity(curve.label) for p in points)
-        coeffs = list(curve.cls.coeffs) + [-m for m in mults]
         where = ", ".join(
             f"{m} at {p.label}" for p, m in zip(points, mults) if m
         ) or "missing every blown-up point"
         curves.append(
             RegisteredCurve(
                 label=curve.label + "'",
-                cls=DivisorClass(new_id, tuple(coeffs)),
+                cls=strict_transform(morphism, curve.cls, mults),
                 note=(
                     f"strict transform of {curve.label} (declared multiplicities: "
                     f"{where}); declared irreducible"
@@ -230,19 +208,14 @@ def blow_up(
 def strict_transform(
     morphism: MorphismMap, d: DivisorClass, mults: list[int] | tuple[int, ...]
 ) -> DivisorClass:
-    """Pullback of ``d`` minus declared multiplicities times exceptionals."""
+    """Pullback of ``d`` with ``-mults`` on the exceptional classes."""
     if morphism.kind != "blowup":
         raise NotABlowup("strict_transform needs a blow-up morphism")
-    mults = tuple(mults)
-    if len(mults) != len(morphism.exceptional_positions):
-        raise ArityMismatch(
-            f"need {len(morphism.exceptional_positions)} multiplicities, got {len(mults)}"
-        )
-    up = pullback(morphism, d)
-    coeffs = list(up.coeffs)
-    for pos, m in zip(morphism.exceptional_positions, mults):
-        coeffs[pos] -= m
-    return DivisorClass(morphism.source_model, tuple(coeffs))
+    k = len(morphism.exceptional_labels)
+    if len(mults) != k:
+        raise ArityMismatch(f"need {k} multiplicities, got {len(mults)}")
+    head = pullback(morphism, d).coeffs[: morphism.target_size]
+    return DivisorClass(morphism.source_model, head + tuple(-m for m in mults))
 
 
 def double_cover(
@@ -260,10 +233,17 @@ def double_cover(
     model._check_owned(branch_half)
     new_id = f"double_cover({model.model_id})"
     new_gram = tuple(tuple(2 * x for x in row) for row in model.gram)
+    morphism = MorphismMap(
+        kind="cover",
+        source_model=new_id,
+        target_model=model.model_id,
+        target_size=model.size,
+        branch_half=branch_half,
+    )
     curves = tuple(
         RegisteredCurve(
             label=c.label,
-            cls=DivisorClass(new_id, c.cls.coeffs),
+            cls=pullback(morphism, c.cls),
             note=f"pullback of {c.label} under the degree-2 cover (declared curve)",
         )
         for c in model.curves
@@ -281,16 +261,6 @@ def double_cover(
             f"scaled by the degree 2",
         ),
         exceptional_labels=model.exceptional_labels,
-    )
-    morphism = MorphismMap(
-        kind="cover",
-        source_model=new_id,
-        target_model=model.model_id,
-        pullback_matrix=tuple(
-            tuple(1 if i == j else 0 for j in range(model.size)) for i in range(model.size)
-        ),
-        pairing_scale=2,
-        branch_half=branch_half,
     )
     return new_model, morphism
 

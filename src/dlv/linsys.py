@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .constructions import MorphismMap, pullback
+from .constructions import MorphismMap
 from .errors import (
     MismatchedModel,
     NotABlowup,
@@ -196,9 +196,9 @@ def blowup_section_transfer(
     Returns ``(M, [k_1, ...])``: the downstairs class and the imposed
     vanishing orders at the blown-up points.  This is bookkeeping for the
     certificate chain; the section spaces upstairs and downstairs-with-
-    vanishing are identified.  Raises
-    :class:`NotAStrictTransformShape` when some k_i would be negative or
-    the class is not of the required shape.
+    vanishing are identified.  M is the head of the coefficient vector,
+    the k_i the negated tail.  Raises :class:`NotAStrictTransformShape`
+    when some k_i would be negative.
     """
     if morphism.kind != "blowup":
         raise NotABlowup("blowup_section_transfer needs a blow-up morphism")
@@ -207,25 +207,14 @@ def blowup_section_transfer(
             f"expected a class on the blow-up {morphism.source_model!r}, "
             f"got {d.model_id!r}"
         )
-    exc = set(morphism.exceptional_positions)
-    orders = [-d.coeffs[p] for p in morphism.exceptional_positions]
-    if any(k < 0 for k in orders):
+    size = morphism.target_size
+    tail = d.coeffs[size:]
+    if any(c > 0 for c in tail):
         raise NotAStrictTransformShape(
-            f"exceptional coefficients {[d.coeffs[p] for p in morphism.exceptional_positions]} "
-            f"include a positive entry; not pullback minus non-negative multiples"
+            f"exceptional coefficients {list(tail)} include a positive entry; "
+            f"not pullback minus non-negative multiples"
         )
-    base_coeffs = tuple(c for i, c in enumerate(d.coeffs) if i not in exc)
-    if len(base_coeffs) != morphism.target_size:
-        raise NotAStrictTransformShape("class does not fit the blow-up shape")
-    base_cls = DivisorClass(morphism.target_model, base_coeffs)
-    check = list(pullback(morphism, base_cls).coeffs)
-    for p, k in zip(morphism.exceptional_positions, orders):
-        check[p] -= k
-    if tuple(check) != d.coeffs:
-        raise NotAStrictTransformShape(
-            "class is not pullback(M) minus exceptional multiples for any M"
-        )
-    return base_cls, orders
+    return DivisorClass(morphism.target_model, d.coeffs[:size]), [-c for c in tail]
 
 
 # -- fixed-component forcing -------------------------------------------------

@@ -172,8 +172,6 @@ def test_nodal_member_strict_transform_is_headline_class(tower_5):
 def test_tower_exceptional_bookkeeping(tower_3):
     assert tower_3.base_blowup.exceptional_labels == ("e_1", "e_2", "e_3")
     assert tower_3.cover_blowup.exceptional_labels == ("E_1", "E_2", "E_3")
-    assert tower_3.base_blowup_map.pairing_scale == 1
-    assert tower_3.cover_map.pairing_scale == 2
 
 
 _coeff = st.integers(min_value=-100, max_value=100)
