@@ -12,6 +12,7 @@ byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -130,6 +131,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"dlv: error: cannot write {path}: {exc.strerror}")
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work when ``path`` cannot be written.
+
+    Opening for append leaves an existing file's bytes as they are; a file
+    the check creates is removed again, so a run that ends without a report
+    leaves none behind.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    if not existed:
+        os.remove(path)
+
+
 def _write(args, to_document, to_text) -> int:
     """Build the report in ``args.format`` and write it to ``args.out`` or
     stdout; 2 when the schema self-check is on and rejects it, else 0."""
@@ -149,7 +171,7 @@ def _write(args, to_document, to_text) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"dlv: error: cannot write {args.out}: {exc.strerror}") from None
+            raise _cannot_write(args.out, exc) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -254,6 +276,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "sweep":

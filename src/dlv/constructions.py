@@ -9,6 +9,10 @@ Two generic constructions act on declared lattice models:
 * ``double_cover`` passes to the index-two sublattice pulled back from the
   base; pairings of pulled-back classes scale by the cover degree 2.
 
+Both keep the base basis, in order, as the first labels of the new basis
+(a blow-up appends its exceptional labels), so pulling a class back keeps
+its coefficients and adds a 0 for each exceptional class.
+
 The specific tower this package verifies starts from the product of an
 elliptic curve with itself.  Writing F and G for the two fiber classes and
 Gamma_n for the kernel curve of (x, y) |-> nx + 2y (n odd, so the kernel is
@@ -29,6 +33,7 @@ multiplicity): transverse crossings contribute 1, ordinary nodes 2.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -75,24 +80,28 @@ class PointSpec:
     ``declared_multiplicities`` maps registered-curve labels to the
     multiplicity of that curve at the point (1 for a transverse branch,
     2 for an ordinary node).  Values are declared geometric inputs, never
-    computed.  Absent labels mean multiplicity 0.
+    computed, and each must be an ``int`` >= 0.  Absent labels mean
+    multiplicity 0.  The mapping is stored as sorted (label, multiplicity)
+    pairs.
     """
 
     label: str
-    declared_multiplicities: tuple[tuple[str, int], ...] = ()
+    declared_multiplicities: tuple[tuple[str, int], ...] = field(default_factory=dict)
 
     def __post_init__(self):
-        items = self.declared_multiplicities
-        if hasattr(items, "items"):  # accept a mapping
-            items = tuple(sorted(items.items()))
-        else:
-            items = tuple((str(k), int(v)) for k, v in items)
-        for label, mult in items:
-            if mult < 0:
+        given = self.declared_multiplicities
+        if not isinstance(given, Mapping):
+            raise InvalidParameter(
+                f"declared multiplicities at {self.label!r} must be a mapping of "
+                f"curve labels to ints, got {type(given).__name__}"
+            )
+        for label, mult in given.items():
+            if type(mult) is not int or mult < 0:
                 raise InvalidParameter(
-                    f"multiplicity of {label!r} at {self.label!r} must be >= 0, got {mult}"
+                    f"multiplicity of {label!r} at {self.label!r} must be an int >= 0, "
+                    f"got {mult!r}"
                 )
-        object.__setattr__(self, "declared_multiplicities", items)
+        object.__setattr__(self, "declared_multiplicities", tuple(sorted(given.items())))
 
     def multiplicity(self, curve_label: str) -> int:
         for label, mult in self.declared_multiplicities:

@@ -38,8 +38,8 @@ matrix.  When the subtracted curves repeat a cycle, pairings and counts
 are affine in the number of passes, so the engine computes exactly how
 many passes the selection rule keeps making and applies them at once.  A
 trace stores these runs; its steps, residuals included, are expanded only
-on request.  ``oracle.stepwise_forcing`` keeps the one-step-at-a-time
-engine as the reference the tests compare against.
+on request.  The tests hold this engine to a one-step-at-a-time
+reference, ``tests/stepwise_reference.py``.
 
 All functions are pure and all results immutable; concurrent use is safe
 (the plan and the expanded steps are caches, and a race only builds one
@@ -198,7 +198,7 @@ def blowup_section_transfer(
     certificate chain; the section spaces upstairs and downstairs-with-
     vanishing are identified.  M is the head of the coefficient vector,
     the k_i the negated tail.  Raises :class:`NotAStrictTransformShape`
-    when some k_i would be negative.
+    when some k_i would be negative or the class has the wrong length.
     """
     if morphism.kind != "blowup":
         raise NotABlowup("blowup_section_transfer needs a blow-up morphism")
@@ -208,6 +208,8 @@ def blowup_section_transfer(
             f"got {d.model_id!r}"
         )
     size = morphism.target_size
+    if len(d.coeffs) != size + len(morphism.exceptional_labels):
+        raise NotAStrictTransformShape("class does not fit the blow-up shape")
     tail = d.coeffs[size:]
     if any(c > 0 for c in tail):
         raise NotAStrictTransformShape(

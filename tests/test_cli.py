@@ -264,6 +264,66 @@ def test_schema_violation_exits_two_and_names_the_path(capsys, monkeypatch):
     assert err.startswith("dlv: schema self-validation failed: $.instances[1].status: ")
 
 
+def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monkeypatch):
+    # it used to run the whole sweep, progress lines included, and fail at the end
+    import dlv.cli as cli_mod
+
+    def never(n, m_max=None):
+        raise AssertionError("verify ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "verify", never)
+    target = tmp_path / "missing-dir" / "sweep.txt"
+    code, out, err = run(capsys, "sweep", "--n-range", "3..31", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"dlv: error: cannot write {target}: ")
+    assert err.count("\n") == 1  # the diagnostic alone, no "[1/15] n=3"
+
+
+def _tamper_reports(monkeypatch):
+    import dlv.cli as cli_mod
+
+    real = cli_mod.report_to_dict
+
+    def tampered(report):
+        doc = real(report)
+        doc["instances"][0]["status"] = "Maybe"
+        return doc
+
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr(cli_mod, "report_to_dict", tampered)
+
+
+def test_schema_violation_creates_no_out_file(tmp_path, capsys, monkeypatch):
+    _tamper_reports(monkeypatch)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(target))
+    assert code == 2
+    assert not target.exists()
+
+
+def test_schema_violation_keeps_existing_out_bytes(tmp_path, capsys, monkeypatch):
+    _tamper_reports(monkeypatch)
+    target = tmp_path / "report.json"
+    target.write_bytes(b"earlier report\n")
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(target))
+    assert code == 2
+    assert target.read_bytes() == b"earlier report\n"
+
+
+def test_new_out_file_gets_the_umask_permissions(tmp_path, capsys):
+    import os
+    import stat
+
+    umask = os.umask(0)
+    os.umask(umask)
+    target = tmp_path / "report.txt"
+    code, out, err = run(capsys, "pair", "--n", "3", "--expr", "A.A", "--out", str(target))
+    assert code == 0
+    assert target.read_text() == "8\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
 def test_schema_checker_fault_is_an_internal_error(capsys, monkeypatch):
     # a checker that cannot read the schema is a bug (3), not a bad document (2)
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from dlv import (
     PointSpec,
     UnknownCurve,
     blow_up,
+    blowup_section_transfer,
     build_abelian_product,
     build_tower,
     double_cover,
@@ -76,6 +79,25 @@ def test_blow_up_needs_points():
 def test_blow_up_rejects_negative_multiplicity():
     with pytest.raises(InvalidParameter):
         PointSpec("p", {"F": -1})
+
+
+@pytest.mark.parametrize("mult", [-1, 1.9, True, "1", None], ids=repr)
+def test_point_spec_multiplicity_must_be_a_non_negative_int(mult):
+    with pytest.raises(InvalidParameter):
+        PointSpec("p", {"F": mult})
+
+
+@pytest.mark.parametrize("given", [(("F", 1),), [("F", 1)], ()], ids=repr)
+def test_point_spec_needs_a_mapping(given):
+    with pytest.raises(InvalidParameter):
+        PointSpec("p", given)
+
+
+def test_point_spec_stores_sorted_pairs():
+    spec = PointSpec("p", {"Gamma_n": 1, "F": 2})
+    assert spec.declared_multiplicities == (("F", 2), ("Gamma_n", 1))
+    assert spec.multiplicity("F") == 2 and spec.multiplicity("G") == 0
+    assert PointSpec("q").declared_multiplicities == ()
 
 
 def test_blow_up_label_collision_rejected(tower_3):
@@ -201,6 +223,54 @@ def test_cover_scales_pairing_by_two(c1, c2):
     up1 = pullback(tower.cover_map, d1)
     up2 = pullback(tower.cover_map, d2)
     assert tower.cover.pair(up1, up2) == 2 * tower.base.pair(d1, d2)
+
+
+@functools.cache
+def _maps_under_test():
+    """(base model, constructed model, morphism) for the three tower maps
+    and a blow-up of the blown-up base, whose exceptional labels follow
+    e_1, e_2, e_3."""
+    tower = build_tower(5)
+    again, again_map = blow_up(
+        tower.base_blowup, [PointSpec("r_1", {"F'": 1}), PointSpec("r_2", {})], ("x_1", "x_2")
+    )
+    return [
+        (tower.base, tower.base_blowup, tower.base_blowup_map),
+        (tower.base, tower.cover, tower.cover_map),
+        (tower.cover, tower.cover_blowup, tower.cover_blowup_map),
+        (tower.base_blowup, again, again_map),
+    ]
+
+
+def test_blow_up_of_a_blow_up_accumulates_exceptional_labels():
+    base, up, morphism = _maps_under_test()[-1]
+    assert morphism.exceptional_labels == ("x_1", "x_2")
+    assert up.exceptional_labels == ("e_1", "e_2", "e_3", "x_1", "x_2")
+    assert up.basis == base.basis + ("x_1", "x_2")
+
+
+@given(st.data())
+def test_pullback_is_the_label_matrix_product(data):
+    # reference: the dense 0/1 matrix sending each base label to the same
+    # label upstairs and nothing to an exceptional class
+    base, up, morphism = data.draw(st.sampled_from(_maps_under_test()))
+    matrix = [[int(row == col) for col in base.basis] for row in up.basis]
+    coeffs = data.draw(st.lists(_coeff, min_size=base.size, max_size=base.size))
+    expected = tuple(sum(m * c for m, c in zip(row, coeffs)) for row in matrix)
+    assert pullback(morphism, base.divisor_class(coeffs)) == up.divisor_class(expected)
+
+
+@given(st.data())
+def test_transfer_inverts_strict_transform(data):
+    base, up, morphism = data.draw(
+        st.sampled_from([entry for entry in _maps_under_test() if entry[2].kind == "blowup"])
+    )
+    k = len(morphism.exceptional_labels)
+    d = base.divisor_class(data.draw(st.lists(_coeff, min_size=base.size, max_size=base.size)))
+    mults = data.draw(st.lists(st.integers(0, 100), min_size=k, max_size=k))
+    strict = strict_transform(morphism, d, mults)
+    assert strict.model_id == up.model_id and len(strict.coeffs) == up.size
+    assert blowup_section_transfer(morphism, strict) == (d, mults)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 11])

@@ -26,7 +26,7 @@ from dlv import (
     pullback,
 )
 from dlv.linsys import _first_all_negative, _ForcingPlan
-from dlv.oracle import _solve_exact, stepwise_forcing
+from stepwise_reference import _solve_exact, stepwise_forcing
 
 
 # -- non-effectivity certificates ---------------------------------------------
@@ -148,6 +148,18 @@ def test_transfer_rejects_positive_exceptional_part(tower_3):
 def test_transfer_rejects_wrong_model(tower_3):
     with pytest.raises(MismatchedModel):
         blowup_section_transfer(tower_3.base_blowup_map, tower_3.classes["A"])
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 0, 0), (1, 0, 0, -1, -1), (1, 0, 0, -1, -1, -1, 0), (1, 0, 0, 0, 0, 0, -2)],
+    ids=["base-size", "short", "one-extra", "extra-negative"],
+)
+def test_transfer_rejects_wrong_length(tower_3, coeffs):
+    # a class on the blow-up's id with too few or too many coefficients
+    d = DivisorClass(tower_3.base_blowup.model_id, coeffs)
+    with pytest.raises(NotAStrictTransformShape):
+        blowup_section_transfer(tower_3.base_blowup_map, d)
 
 
 # -- fixed-component forcing --------------------------------------------------
