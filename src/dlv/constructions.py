@@ -44,7 +44,7 @@ from .errors import (
     NotABlowup,
     UnknownCurve,
 )
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
 from .schema import document
 
 
@@ -96,11 +96,7 @@ class PointSpec:
                 f"curve labels to ints, got {type(given).__name__}"
             )
         for label, mult in given.items():
-            if type(mult) is not int or mult < 0:
-                raise InvalidParameter(
-                    f"multiplicity of {label!r} at {self.label!r} must be an int >= 0, "
-                    f"got {mult!r}"
-                )
+            exact_int(mult, f"multiplicity of {label!r} at {self.label!r}", 0)
         object.__setattr__(self, "declared_multiplicities", tuple(sorted(given.items())))
 
     def multiplicity(self, curve_label: str) -> int:
@@ -112,13 +108,7 @@ class PointSpec:
 
 def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
     """Pull ``d`` back: its coefficients, then a 0 per exceptional class."""
-    if d.model_id != morphism.target_model:
-        raise MismatchedModel(
-            f"pullback along {morphism.source_model!r} -> {morphism.target_model!r} "
-            f"needs a class on {morphism.target_model!r}, got {d.model_id!r}"
-        )
-    if len(d.coeffs) != morphism.target_size:
-        raise MismatchedModel("coefficient vector does not match the base basis size")
+    check_on(d, morphism.target_model, morphism.target_size)
     zeros = (0,) * len(morphism.exceptional_labels)
     return DivisorClass(morphism.source_model, d.coeffs + zeros)
 
@@ -284,9 +274,7 @@ def check_odd_n(n: int) -> int:
     certificate threshold, the CLI ranges).  Bools are rejected although
     they are ints: ``True`` is not a surface parameter.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidParameter(f"n must be an integer, got {n!r}")
-    if n < 3 or n % 2 == 0:
+    if exact_int(n, "n") < 3 or n % 2 == 0:
         raise InvalidParameter(f"n must be an odd integer >= 3, got {n}")
     return n
 

@@ -17,15 +17,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidModel, MismatchedModel, UnknownCurve
+from .errors import InvalidModel, InvalidParameter, MismatchedModel, UnknownCurve
 
 SURFACE_KINDS = ("abelian", "blowup", "cover", "other")
 _INT = frozenset((int,))
 
 
+def exact_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is exactly an ``int`` (never a bool, float or str)
+    and at least ``minimum``; ``InvalidParameter`` otherwise."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameter(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def _exact_ints(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple; ``InvalidModel`` unless each is exactly an
-    ``int`` (a bool, float or str never enters exact arithmetic)."""
+    ``int``.  The vector form of :func:`exact_int`, for coefficients and
+    Gram rows."""
     values = tuple(values)
     if not _INT.issuperset(map(type, values)):
         bad = next(x for x in values if type(x) is not int)
@@ -48,30 +58,19 @@ class DivisorClass:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _exact_ints(self.coeffs, "coefficients"))
 
-    def _check_same(self, other: "DivisorClass") -> None:
-        if not isinstance(other, DivisorClass):
-            raise TypeError(f"expected a DivisorClass, got {type(other).__name__}")
-        if other.model_id != self.model_id:
-            raise MismatchedModel(
-                f"classes belong to different models: "
-                f"{self.model_id!r} vs {other.model_id!r}"
-            )
-        if len(other.coeffs) != len(self.coeffs):
-            raise MismatchedModel("coefficient vectors have different lengths")
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same(other)
+        check_on(other, self.model_id, len(self.coeffs))
         return DivisorClass(self.model_id, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same(other)
+        check_on(other, self.model_id, len(self.coeffs))
         return DivisorClass(self.model_id, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.model_id, tuple(-a for a in self.coeffs))
 
     def __mul__(self, k: int) -> "DivisorClass":
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         return DivisorClass(self.model_id, tuple(k * a for a in self.coeffs))
 
@@ -80,6 +79,17 @@ class DivisorClass:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+
+def check_on(d, model_id: str, size: int) -> None:
+    """Raise unless ``d`` is a class on ``model_id`` with ``size``
+    coefficients: ``TypeError`` for a non-class, ``MismatchedModel`` else."""
+    if not isinstance(d, DivisorClass):
+        raise TypeError(f"expected a DivisorClass, got {type(d).__name__}")
+    if d.model_id != model_id:
+        raise MismatchedModel(f"class belongs to model {d.model_id!r}, not {model_id!r}")
+    if len(d.coeffs) != size:
+        raise MismatchedModel(f"class has {len(d.coeffs)} coefficients, expected {size}")
 
 
 @dataclass(frozen=True)
@@ -236,14 +246,7 @@ class SurfaceModel:
     # -- pairing ----------------------------------------------------------
 
     def _check_owned(self, d: DivisorClass) -> None:
-        if not isinstance(d, DivisorClass):
-            raise TypeError(f"expected a DivisorClass, got {type(d).__name__}")
-        if d.model_id != self.model_id:
-            raise MismatchedModel(
-                f"class belongs to model {d.model_id!r}, not {self.model_id!r}"
-            )
-        if len(d.coeffs) != self.size:
-            raise MismatchedModel("coefficient vector does not match the basis size")
+        check_on(d, self.model_id, self.size)
 
     def pair(self, d1: DivisorClass, d2: DivisorClass) -> int:
         """Evaluate the intersection form: d1^T . gram . d2, exactly."""

@@ -61,7 +61,7 @@ from .errors import (
     UnknownCurve,
     WrongSurfaceKind,
 )
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on
 
 NEF_RULE_CITATION = (
     "an effective class on an abelian surface is nef (no curve on it has "
@@ -100,9 +100,10 @@ class NonEffectivityCertificate:
 
     The constructor refuses a non-negative pairing value, so a certificate
     object existing is itself the proof obligation.  The remaining
-    preconditions (abelian model, registered witness of non-negative
-    self-intersection) are checked by :func:`certify_not_effective`, the
-    only intended producer.
+    preconditions (abelian model, registered witness) are checked by
+    :func:`certify_not_effective`, the only intended producer; an abelian
+    model already refuses a registered curve of negative
+    self-intersection.
     """
 
     target: DivisorClass
@@ -114,8 +115,8 @@ class NonEffectivityCertificate:
     def __post_init__(self):
         if self.pairing_value >= 0:
             raise NotCertified(
-                f"a non-effectivity certificate requires a strictly negative "
-                f"pairing, got {self.pairing_value}",
+                f"witness {self.witness_label} pairs {self.pairing_value} >= 0 with the "
+                f"target: no non-effectivity conclusion (and no effectivity claim either)",
                 pairing_value=self.pairing_value,
             )
 
@@ -154,19 +155,10 @@ def certify_not_effective(
             break
     if label is None:
         raise UnknownCurve("the witness must be a registered curve of the model")
-    # Registered curves on an abelian model have self-intersection >= 0 by
-    # the model invariant; re-check here so a certificate can cite it.
-    if model.self_int(witness) < 0:
-        raise WrongSurfaceKind("witness has negative self-intersection")
-    value = model.pair(d, witness)
-    if value >= 0:
-        raise NotCertified(
-            f"witness {label} pairs {value} >= 0 with the target: "
-            f"no non-effectivity conclusion (and no effectivity claim either)",
-            pairing_value=value,
-        )
+    # an abelian model registers no curve of negative self-intersection, so
+    # the witness is nef and the certificate refuses a non-negative pairing
     return NonEffectivityCertificate(
-        target=d, witness=witness, witness_label=label, pairing_value=value
+        target=d, witness=witness, witness_label=label, pairing_value=model.pair(d, witness)
     )
 
 
@@ -180,11 +172,7 @@ def cover_section_split(
     """
     if morphism.kind != "cover" or morphism.branch_half is None:
         raise NotACover("cover_section_split needs a double-cover morphism")
-    if m_cls.model_id != morphism.target_model:
-        raise MismatchedModel(
-            f"expected a class on the base {morphism.target_model!r}, "
-            f"got {m_cls.model_id!r}"
-        )
+    check_on(m_cls, morphism.target_model, morphism.target_size)
     return m_cls, m_cls - morphism.branch_half
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
 from .errors import InvalidParameter, NotCertified
-from .lattice import DivisorClass
+from .lattice import DivisorClass, exact_int
 from .linsys import (
     RuleApplication,
     SectionCountResult,
@@ -72,12 +72,6 @@ def m_threshold(n: int) -> int:
     """
     check_odd_n(n)
     return (n * n + 3) // 4
-
-
-def _check_positive(name: str, value: int) -> None:
-    """The one check for m and m_max: a positive int, bools rejected."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     ``tower`` may be supplied to reuse the constructed models across an m
     sweep; it must have been built for the same n.
     """
-    _check_positive("m", m)
+    exact_int(m, "m", 1)
     if tower is None:
         tower = build_tower(n)
     elif tower.n != n:
@@ -268,7 +262,7 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
     if m_max is None:
         m_max = threshold
     else:
-        _check_positive("m_max", m_max)
+        exact_int(m_max, "m_max", 1)
     tower = build_tower(n)
     instances = tuple(verify_instance(n, m, tower=tower) for m in range(1, m_max + 2))
 
