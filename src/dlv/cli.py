@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one odd n across its full m range")
     p_verify.add_argument("--n", type=int, required=True, help="odd integer >= 3")
-    p_verify.add_argument("--m", type=int, help="verify a single instance m only")
-    p_verify.add_argument(
+    which_m = p_verify.add_mutually_exclusive_group()
+    which_m.add_argument("--m", type=int, help="verify a single instance m only")
+    which_m.add_argument(
         "--m-max", type=int, dest="m_max", help="override the certified threshold"
     )
     add_seed_flag(p_verify)

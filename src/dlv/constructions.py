@@ -96,6 +96,10 @@ class PointSpec:
                 f"curve labels to ints, got {type(given).__name__}"
             )
         for label, mult in given.items():
+            if not isinstance(label, str):
+                raise InvalidParameter(
+                    f"curve labels at {self.label!r} must be strings, got {label!r}"
+                )
             exact_int(mult, f"multiplicity of {label!r} at {self.label!r}", 0)
         object.__setattr__(self, "declared_multiplicities", tuple(sorted(given.items())))
 
@@ -207,12 +211,15 @@ def blow_up(
 def strict_transform(
     morphism: MorphismMap, d: DivisorClass, mults: list[int] | tuple[int, ...]
 ) -> DivisorClass:
-    """Pullback of ``d`` with ``-mults`` on the exceptional classes."""
+    """Pullback of ``d`` with ``-mults`` on the exceptional classes; each
+    multiplicity must be an ``int`` >= 0."""
     if morphism.kind != "blowup":
         raise NotABlowup("strict_transform needs a blow-up morphism")
     k = len(morphism.exceptional_labels)
     if len(mults) != k:
         raise ArityMismatch(f"need {k} multiplicities, got {len(mults)}")
+    for label, m in zip(morphism.exceptional_labels, mults):
+        exact_int(m, f"multiplicity at {label}", 0)
     head = pullback(morphism, d).coeffs[: morphism.target_size]
     return DivisorClass(morphism.source_model, head + tuple(-m for m in mults))
 
@@ -456,39 +463,61 @@ def model_to_dict(model: SurfaceModel) -> dict:
     )
 
 
-def _required(data: dict, key: str, where: str = "a model"):
-    try:
-        return data[key]
-    except KeyError:
-        raise InvalidModel(f"{where} lacks the required key {key!r}") from None
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; ``InvalidModel`` naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise InvalidModel(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _field(data: dict, key: str, kind: type, where: str = "a model"):
+    if key not in data:
+        raise InvalidModel(f"{where} lacks the required key {key!r}")
+    return _typed(data[key], kind, f"{key!r} of {where}")
+
+
+def _labels(values, key: str) -> tuple[str, ...]:
+    for value in _typed(values, list, f"{key!r} of a model"):
+        _typed(value, str, f"each entry of {key!r}")
+    return tuple(values)
+
+
+def _curve_from_dict(model_id: str, data) -> RegisteredCurve:
+    _typed(data, dict, "a curve")
+    return RegisteredCurve(
+        label=_field(data, "label", str, "a curve"),
+        cls=DivisorClass(model_id, _field(data, "coeffs", list, "a curve")),
+        note=_typed(data.get("note", ""), str, "'note' of a curve"),
+    )
 
 
 def model_from_dict(data: dict) -> SurfaceModel:
-    model_id = _required(data, "model_id")
+    """The model a :func:`model_to_dict` document describes; ``InvalidModel``
+    naming the key when a field is missing or of the wrong JSON type."""
+    _typed(data, dict, "a model")
+    schema = _field(data, "schema", str)
+    if schema != "surface-model":
+        raise InvalidModel(f"'schema' of a model must be 'surface-model', got {schema!r}")
+    model_id = _field(data, "model_id", str)
     return SurfaceModel(
         model_id=model_id,
-        basis=tuple(_required(data, "basis")),
-        gram=_required(data, "gram"),
-        curves=tuple(
-            RegisteredCurve(
-                label=_required(c, "label", "a curve"),
-                cls=DivisorClass(model_id, _required(c, "coeffs", "a curve")),
-                note=c.get("note", ""),
-            )
-            for c in _required(data, "curves")
-        ),
-        kind=_required(data, "kind"),
-        provenance=tuple(data.get("provenance", ())),
-        exceptional_labels=tuple(data.get("exceptional_labels", ())),
+        basis=_labels(_field(data, "basis", list), "basis"),
+        gram=[_typed(row, list, "each row of 'gram'") for row in _field(data, "gram", list)],
+        curves=tuple(_curve_from_dict(model_id, c) for c in _field(data, "curves", list)),
+        kind=_field(data, "kind", str),
+        provenance=_labels(data.get("provenance", []), "provenance"),
+        exceptional_labels=_labels(data.get("exceptional_labels", []), "exceptional_labels"),
     )
 
 
 def save_model(model: SurfaceModel, path) -> None:
-    import json
+    from .pipeline import canonical_json  # pipeline imports this module
 
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(model_to_dict(model)))
 
 
 def load_model(path) -> SurfaceModel:

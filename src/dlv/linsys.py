@@ -61,7 +61,7 @@ from .errors import (
     UnknownCurve,
     WrongSurfaceKind,
 )
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
 
 NEF_RULE_CITATION = (
     "an effective class on an abelian surface is nef (no curve on it has "
@@ -478,15 +478,18 @@ def fixed_part_forcing(
     otherwise with an ``Inconclusive`` reason (``no forcing curve``,
     ``outside registry cone``, or ``cap``).
 
-    ``step_cap`` defaults to 10 x (sum of the start's curve coefficients)
-    + 10 as a hard backstop; each subtraction lowers that sum by exactly
-    one, so a concluding run of the verified tower never nears the cap.
+    ``step_cap``, an ``int`` >= 0, defaults to 10 x (sum of the start's
+    curve coefficients) + 10 as a hard backstop; each subtraction lowers
+    that sum by exactly one, so a concluding run of the verified tower
+    never nears the cap.
 
     Once the subtractions repeat a cycle, the engine computes exactly how
     many more passes the rule would make through it and applies them at
     once, as one :class:`ForcingRun`.
     """
     model._check_owned(start)
+    if step_cap is not None:
+        exact_int(step_cap, "step_cap", 0)
     if start.is_zero:
         return ForcingTrace(start=start, runs=(), conclusion=UniqueMember(()))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .constructions import PointSpec, blow_up, build_tower, double_cover, pullback
 from .errors import BoundTooLarge, RegistryTooLarge
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, exact_int
 from .linsys import UniqueMember, fixed_part_forcing
 from .schema import document
 
@@ -64,6 +64,7 @@ def enumerate_decompositions(
     ``grid_cap`` points.
     """
     model._check_owned(target)
+    exact_int(coeff_bound, "coeff_bound", 0)
     columns: list[tuple[str, tuple[int, ...]]] = [
         (c.label, c.cls.coeffs) for c in model.curves
     ]
@@ -97,6 +98,7 @@ def identity_suite(n_list, m_max_per_n: int = 20, seed: int = 0) -> OracleReport
     The left sides come from Gram evaluation only; the right sides are the
     closed forms.  A failure localizes a bug to one of the two routes.
     """
+    exact_int(m_max_per_n, "m_max_per_n", 0)
     failures = []
     trials = 0
 
@@ -209,6 +211,7 @@ def bilinearity_suite(trials: int = 10_000, seed: int = 0) -> OracleReport:
     Each trial derives its own generator from (seed, trial index), so
     results are order-independent and reproducible.
     """
+    exact_int(trials, "trials", 0)
     failures = []
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

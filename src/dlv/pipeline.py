@@ -334,7 +334,8 @@ def render_report_text(report: VerificationReport) -> str:
     """Human-readable table carrying the same numbers as the JSON."""
     header = (
         f"verification report  n={report.n}  certified threshold m={m_threshold(report.n)}  "
-        f"(instances m=1..{report.m_max + 1})  tool {__version__}"
+        f"(instances m={report.instances[0].m}..{report.instances[-1].m})  "
+        f"tool {__version__}"
     )
     rows = [("m", "A^2", "D^2", "certificate", "h0", "status")]
     for r in report.instances:

@@ -54,6 +54,22 @@ def test_verify_m_max_override(capsys):
     assert sum(1 for i in document["instances"] if i["status"] == "BeyondThreshold") == 3
 
 
+def test_verify_single_instance_header_names_its_m(capsys):
+    # the header used to say "(instances m=1..4)" above the one row of m = 3
+    code, out, err = run(capsys, "verify", "--n", "5", "--m", "3")
+    assert code == 0
+    assert "(instances m=3..3)" in out.splitlines()[0]
+
+
+def test_verify_m_and_m_max_are_exclusive(capsys):
+    # --m-max used to be ignored silently
+    code, out, err = run(capsys, "verify", "--n", "5", "--m", "3", "--m-max", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: dlv verify")
+    assert "not allowed with argument --m" in err
+
+
 def test_pair_witness_formula(capsys):
     code, out, err = run(capsys, "pair", "--n", "3", "--expr", "(2*A - R).G_n")
     assert code == 0
@@ -220,6 +236,36 @@ def test_oracle_text_output(capsys):
     )
     assert code == 0
     assert "total failures: 0" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--trials", "-5"), ("--m-max", "-3"), ("--bound", "-1")]
+)
+def test_oracle_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value):
+    # --trials -5 used to write "trials": -5, --bound -1 to report four
+    # FAILURES, and --m-max -3 to check no multiple
+    target = tmp_path / "oracle.json"
+    argv = {"--n-range": "3..3", "--trials": "0", "--m-max": "1", "--bound": "2"}
+    argv[flag] = value
+    code, out, err = run(
+        capsys, "oracle", *(x for kv in argv.items() for x in kv),
+        "--format", "json", "--out", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("dlv: error: ")
+    assert not target.exists()
+
+
+def test_oracle_empty_suites_are_valid(capsys):
+    code, out, err = run(
+        capsys, "oracle", "--n-range", "3..3", "--trials", "0", "--m-max", "0",
+        "--format", "json",
+    )
+    assert code == 0
+    reports = {r["suite"]: r for r in json.loads(out)["reports"]}
+    assert reports["bilinearity"]["trials"] == 0
+    assert reports["identity"]["trials"] == 7
 
 
 def test_schema_self_check_env(capsys, monkeypatch):

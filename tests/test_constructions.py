@@ -87,6 +87,20 @@ def test_point_spec_multiplicity_must_be_a_non_negative_int(mult):
         PointSpec("p", {"F": mult})
 
 
+@pytest.mark.parametrize("label", [1, None, ("F",), b"F"], ids=repr)
+def test_point_spec_curve_label_must_be_a_str(label):
+    # a non-str label next to a str one used to raise a bare TypeError from the sort
+    with pytest.raises(InvalidParameter):
+        PointSpec("p", {label: 1, "F": 1})
+
+
+@pytest.mark.parametrize("mult", [-1, 1.5, True, "1", None], ids=repr)
+def test_strict_transform_multiplicity_must_be_a_non_negative_int(tower_3, mult):
+    # True used to pass as 1, -1 put +1 on e_1 and 1.5 raised InvalidModel
+    with pytest.raises(InvalidParameter, match="multiplicity at e_1"):
+        strict_transform(tower_3.base_blowup_map, tower_3.classes["F"], (mult, 0, 0))
+
+
 @pytest.mark.parametrize("given", [(("F", 1),), [("F", 1)], ()], ids=repr)
 def test_point_spec_needs_a_mapping(given):
     with pytest.raises(InvalidParameter):

@@ -4,12 +4,14 @@ from hypothesis import given, strategies as st
 from dlv import (
     DivisorClass,
     InvalidModel,
+    InvalidParameter,
     MismatchedModel,
     RegisteredCurve,
     SurfaceModel,
     build_abelian_product,
     format_class,
 )
+from dlv.lattice import check_on, exact_int
 
 
 def test_pair_fiber_with_kernel_curve():
@@ -105,6 +107,45 @@ def test_values_that_are_not_ints_are_rejected(where, bad):
             DivisorClass("x", (1, bad))
         with pytest.raises(InvalidModel, match="coefficients must be integers"):
             model.divisor_class((1, bad))
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, pytest.param(_Int(1), id="int-subclass")], ids=repr)
+def test_exact_int_takes_only_an_int(bad):
+    with pytest.raises(InvalidParameter, match="k must be an integer, got"):
+        exact_int(bad, "k")
+
+
+def test_exact_int_checks_the_lower_bound():
+    assert exact_int(-5, "k") == -5
+    assert exact_int(0, "k", 0) == 0
+    with pytest.raises(InvalidParameter, match="k must be an integer >= 1, got 0"):
+        exact_int(0, "k", 1)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2"], ids=repr)
+def test_scaling_takes_only_an_int(k):
+    # True * D used to return D
+    d = build_abelian_product(3).basis_class("F")
+    with pytest.raises(TypeError):
+        k * d
+    with pytest.raises(TypeError):
+        d * k
+
+
+def test_check_on_names_the_fault():
+    model = build_abelian_product(3)
+    f = model.basis_class("F")
+    check_on(f, model.model_id, 3)
+    with pytest.raises(TypeError, match="expected a DivisorClass, got tuple"):
+        check_on((1, 0, 0), model.model_id, 3)
+    with pytest.raises(MismatchedModel, match="not 'other'"):
+        check_on(f, "other", 3)
+    with pytest.raises(MismatchedModel, match="3 coefficients, expected 4"):
+        check_on(f, model.model_id, 4)
 
 
 def test_abelian_model_rejects_negative_curves():

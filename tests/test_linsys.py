@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from dlv import (
     DivisorClass,
     Inconclusive,
+    InvalidParameter,
     MismatchedModel,
     NonEffectivityCertificate,
     NotACover,
@@ -48,6 +50,7 @@ def test_certificate_refused_at_boundary(tower_3):
         certify_not_effective(tower_3.base, target, base["G_n"])
     assert excinfo.value.pairing_value == 4 * (4 - 1) - 9  # == 3, the boundary
     assert excinfo.value.pairing_value == 3
+    assert str(excinfo.value).startswith("witness Gamma_n pairs 3 >= 0")
 
 
 def test_certificate_for_negated_fiber(tower_3):
@@ -108,6 +111,19 @@ def test_cover_split_second_summand_pairing(tower_3):
 def test_cover_split_needs_cover(tower_3):
     with pytest.raises(NotACover):
         cover_section_split(tower_3.base_blowup_map, tower_3.classes["A"])
+
+
+@pytest.mark.parametrize("where", ["wrong model", "wrong length"])
+def test_cover_split_needs_a_class_on_the_base(tower_3, where):
+    # the message is about the given class, not about the half-branch class
+    if where == "wrong model":
+        m_cls = pullback(tower_3.cover_map, tower_3.classes["A"])
+        message = re.escape(f"belongs to model {tower_3.cover.model_id!r}")
+    else:
+        m_cls = DivisorClass(tower_3.base.model_id, (1, 0))
+        message = "has 2 coefficients, expected 3"
+    with pytest.raises(MismatchedModel, match=message):
+        cover_section_split(tower_3.cover_map, m_cls)
 
 
 # -- blow-up section transfer -------------------------------------------------
@@ -225,6 +241,21 @@ def test_forcing_cap(tower_3):
     assert isinstance(trace.conclusion, Inconclusive)
     assert trace.conclusion.reason == "cap"
     assert len(trace.steps) == 3
+
+
+@pytest.mark.parametrize("cap", [2.5, True, -1, "3"], ids=repr)
+@pytest.mark.parametrize("start", ["L", "zero"])
+def test_forcing_step_cap_must_be_a_non_negative_int(tower_3, cap, start):
+    bb = tower_3.base_blowup
+    d = tower_3.classes["L"] if start == "L" else bb.zero()
+    with pytest.raises(InvalidParameter, match="step_cap"):
+        fixed_part_forcing(bb, d, step_cap=cap)
+
+
+def test_forcing_with_a_zero_cap_takes_no_step(tower_3):
+    trace = fixed_part_forcing(tower_3.base_blowup, tower_3.classes["L"], step_cap=0)
+    assert trace.conclusion == Inconclusive("cap")
+    assert trace.runs == ()
 
 
 def test_forcing_without_negative_pairing(tower_3):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dlv import (
@@ -54,14 +56,74 @@ def test_loader_rejects_values_that_are_not_ints(tower_3, where, bad):
 
 
 @pytest.mark.parametrize(
-    "key", ["model_id", "basis", "gram", "curves", "kind", "label", "coeffs"]
+    "key", ["model_id", "basis", "gram", "curves", "kind", "label", "coeffs", "schema"]
 )
 def test_loader_names_a_missing_key(tower_3, key):
-    # a missing key used to escape as a bare KeyError
+    # a missing key used to escape as a bare KeyError, and a missing schema
+    # was accepted
     data = model_to_dict(tower_3.base)
     del (data["curves"][0] if key in ("label", "coeffs") else data)[key]
     with pytest.raises(InvalidModel, match=repr(key)):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("schema", "verification-report"),
+        ("schema", None),
+        ("model_id", 7),
+        ("basis", "FGX"),
+        ("basis", [1, 2, 3]),
+        ("gram", "abc"),
+        ("gram", [[0, 1, 4], 5, [4, 9, 0]]),
+        ("curves", {"F": [1, 0, 0]}),
+        ("kind", ["abelian"]),
+        ("provenance", "abc"),
+        ("provenance", [1]),
+        ("exceptional_labels", "e"),
+    ],
+    ids=repr,
+)
+def test_loader_rejects_a_field_of_the_wrong_type(tower_3, key, value):
+    # "FGX" used to load as three labels and "abc" as three notes, and the
+    # schema, the model id and non-str labels went unchecked
+    data = model_to_dict(tower_3.base)
+    data[key] = value
+    with pytest.raises(InvalidModel, match=repr(key)):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("label", 5), ("coeffs", "100"), ("note", None)], ids=repr
+)
+def test_loader_rejects_a_curve_field_of_the_wrong_type(tower_3, key, value):
+    data = model_to_dict(tower_3.base)
+    data["curves"][0][key] = value
+    with pytest.raises(InvalidModel, match=repr(key)):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("where", ["model", "curve"])
+def test_loader_needs_json_objects(tmp_path, tower_3, where):
+    # a curve that is not an object used to raise a bare TypeError
+    data = model_to_dict(tower_3.base)
+    if where == "curve":
+        data["curves"][0] = "F"
+    else:
+        data = [data]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidModel, match=f"a {where} must be an object"):
+        load_model(path)
+
+
+def test_saved_file_is_canonical_json(tmp_path, tower_3):
+    from dlv import canonical_json
+
+    path = tmp_path / "model.json"
+    save_model(tower_3.base, path)
+    assert path.read_text(encoding="utf-8") == canonical_json(model_to_dict(tower_3.base))
 
 
 def test_large_entries_survive_round_trip():

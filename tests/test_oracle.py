@@ -3,6 +3,7 @@ import pytest
 from dlv import (
     BoundTooLarge,
     DivisorClass,
+    InvalidParameter,
     RegisteredCurve,
     RegistryTooLarge,
     SurfaceModel,
@@ -100,6 +101,24 @@ def test_bilinearity_suite_is_clean_and_reproducible():
     assert first.ok
     assert first == second
     assert first.seed == 42
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "10"], ids=repr)
+@pytest.mark.parametrize("suite", ["bilinearity", "identity", "enumeration"])
+def test_suite_sizes_must_be_non_negative_ints(tower_3, suite, bad):
+    with pytest.raises(InvalidParameter):
+        if suite == "bilinearity":
+            bilinearity_suite(trials=bad)
+        elif suite == "identity":
+            identity_suite([3], m_max_per_n=bad)
+        else:
+            enumerate_decompositions(tower_3.base_blowup, tower_3.classes["L"], bad)
+
+
+def test_empty_suites_are_valid(tower_3):
+    assert bilinearity_suite(trials=0).trials == 0
+    assert identity_suite([3], m_max_per_n=0).ok
+    assert enumerate_decompositions(tower_3.base_blowup, tower_3.base_blowup.zero(), 0) == [{}]
 
 
 def test_oracle_report_serialization():

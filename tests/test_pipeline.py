@@ -45,7 +45,11 @@ def test_threshold_matches_brute_force(n):
     assert 4 * t - n * n >= 0
 
 
-@pytest.mark.parametrize("bad", [2, 4, 1, 0, -5])
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [2, 4, 1, 0, -5, pytest.param(_Int(3), id="int-subclass")])
 def test_threshold_rejects_bad_n(bad):
     with pytest.raises(InvalidParameter):
         m_threshold(bad)
@@ -86,6 +90,8 @@ def test_instance_rejects_bad_m():
         verify_instance(3, 0)
     with pytest.raises(InvalidParameter):
         verify_instance(3, -2)
+    with pytest.raises(InvalidParameter):
+        verify_instance(3, _Int(1))
 
 
 def test_instance_certificate_chain_order():
@@ -137,7 +143,7 @@ def test_m_max_override():
     assert all(r.status == VERIFIED for r in report.instances)
 
 
-@pytest.mark.parametrize("bad", [True, 0, -1, 2.0])
+@pytest.mark.parametrize("bad", [True, 0, -1, 2.0, pytest.param(_Int(2), id="int-subclass")])
 def test_m_max_must_be_a_positive_int(bad):
     # a bool is an int in Python, but a report with "m_max": true breaks the
     # schema, so it is rejected like any other non-integer
