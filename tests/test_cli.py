@@ -245,11 +245,10 @@ def test_oracle_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value):
     # --trials -5 used to write "trials": -5, --bound -1 to report four
     # FAILURES, and --m-max -3 to check no multiple
     target = tmp_path / "oracle.json"
-    argv = {"--n-range": "3..3", "--trials": "0", "--m-max": "1", "--bound": "2"}
-    argv[flag] = value
+    small = ["--n-range", "3..3", "--trials", "0", "--m-max", "1", "--bound", "2"]
+    # the last occurrence of a flag wins
     code, out, err = run(
-        capsys, "oracle", *(x for kv in argv.items() for x in kv),
-        "--format", "json", "--out", str(target),
+        capsys, "oracle", *small, flag, value, "--format", "json", "--out", str(target)
     )
     assert code == 1
     assert out == ""
