@@ -72,7 +72,6 @@ from .pipeline import (
     render_report_text,
     render_sweep_text,
     report_to_dict,
-    sweep,
     sweep_to_dict,
     verify,
     verify_instance,

@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_seed_flag(p_verify)
     add_output_flags(p_verify)
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="verify every odd n in a range")
     p_sweep.add_argument(
@@ -103,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_seed_flag(p_sweep)
     add_output_flags(p_sweep)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="run the independent check suites")
     p_oracle.add_argument(
@@ -119,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound", type=int, default=10, help="coefficient bound for enumeration"
     )
     add_output_flags(p_oracle)
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     p_pair = sub.add_parser("pair", help="evaluate a pairing expression")
     p_pair.add_argument("--n", type=int, required=True, help="odd integer >= 3")
@@ -129,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. \"(2*A - R).G_n\"",
     )
     add_output_flags(p_pair)
+    p_pair.set_defaults(run=_cmd_pair)
     return parser
 
 
@@ -179,11 +183,7 @@ def _write(args, to_document, to_text) -> int:
 
 
 def _report_exit_code(reports) -> int:
-    for report in reports:
-        for instance in report.instances:
-            if instance.status == FAILED:
-                return 2
-    return 0
+    return 2 if any(r.status == FAILED for report in reports for r in report.instances) else 0
 
 
 def _cmd_verify(args) -> int:
@@ -210,7 +210,7 @@ def _cmd_sweep(args) -> int:
             print(f"[{i}/{len(ns)}] n={n}", file=sys.stderr)
         report = verify(n)
         reports.append(report)
-        if any(r.status == FAILED for r in report.instances):
+        if _report_exit_code([report]):
             # a Failed instance means an internal contradiction (exit 2): emit
             # what was collected and abort the rest of the sweep
             print(f"dlv: n={n} failed internal checks; aborting sweep", file=sys.stderr)
@@ -279,15 +279,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.out:
             _check_out(args.out)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "pair":
-            return _cmd_pair(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -110,7 +110,6 @@ class NonEffectivityCertificate:
     witness: DivisorClass
     witness_label: str
     pairing_value: int
-    citation: str = NEF_RULE_CITATION
 
     def __post_init__(self):
         if self.pairing_value >= 0:
@@ -123,7 +122,7 @@ class NonEffectivityCertificate:
     def to_rule_application(self) -> RuleApplication:
         return RuleApplication(
             rule="noneffectivity-on-abelian",
-            citation=self.citation,
+            citation=NEF_RULE_CITATION,
             values={
                 "target": list(self.target.coeffs),
                 "witness": self.witness_label,
@@ -280,19 +279,14 @@ class ForcingTrace:
 
     @cached_property
     def steps(self) -> tuple[ForcingStep, ...]:
+        curves = [curve for run in self.runs for curve in run.curves * run.repeats]
         residual = self.start.coeffs
         steps = []
-        for run in self.runs:
-            for k in range(run.repeats):
-                for curve, first, shift in zip(run.curves, run.pairings, run.shifts):
-                    residual = tuple(r - c for r, c in zip(residual, curve.cls.coeffs))
-                    steps.append(
-                        ForcingStep(
-                            curve_label=curve.label,
-                            pairing_value=first + k * shift,
-                            residual_after=DivisorClass(self.start.model_id, residual),
-                        )
-                    )
+        for curve, value in zip(curves, self.step_pairings()):
+            residual = tuple(r - c for r, c in zip(residual, curve.cls.coeffs))
+            steps.append(
+                ForcingStep(curve.label, value, DivisorClass(self.start.model_id, residual))
+            )
         return tuple(steps)
 
 
@@ -583,53 +577,42 @@ class SectionCountResult:
         return self.value is not None
 
 
-def forcing_rule_application(trace: ForcingTrace) -> RuleApplication:
-    """Package a forcing trace as a cited rule application."""
-    if isinstance(trace.conclusion, UniqueMember):
-        values = {
-            "start": list(trace.start.coeffs),
-            "decomposition": trace.conclusion.as_dict(),
-            "step_pairings": trace.step_pairings(),
-        }
-    else:
-        values = {
-            "start": list(trace.start.coeffs),
-            "inconclusive": trace.conclusion.reason,
-            "steps_taken": len(trace.step_pairings()),
-        }
-    return RuleApplication(rule="fixed-component-forcing", citation=FORCING_CITATION, values=values)
-
-
 def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
-    """Convert a forcing trace into a section count.
+    """Convert a forcing trace into a section count, with the forcing
+    recorded as a cited rule application.
 
     Returns 1 when the trace concludes ``UniqueMember`` (for the zero
     class: constants only), and unknown otherwise.
     """
-    if isinstance(trace.conclusion, UniqueMember):
-        if trace.start.is_zero:
-            return SectionCountResult(
-                value=1,
-                certificate_chain=(
-                    RuleApplication(
-                        rule="trivial-class",
-                        citation="the zero class has only the constant sections",
-                        values={"h0": 1},
-                    ),
-                ),
-            )
+    conclusion = trace.conclusion
+    unique = isinstance(conclusion, UniqueMember)
+    if unique and trace.start.is_zero:
         return SectionCountResult(
             value=1,
             certificate_chain=(
-                forcing_rule_application(trace),
                 RuleApplication(
-                    rule="unique-member-section-count",
-                    citation=UNIQUE_MEMBER_CITATION,
-                    values={"h0": 1, "decomposition": trace.conclusion.as_dict()},
+                    rule="trivial-class",
+                    citation="the zero class has only the constant sections",
+                    values={"h0": 1},
                 ),
             ),
         )
+    values = {"start": list(trace.start.coeffs)}
+    if unique:
+        values.update(decomposition=conclusion.as_dict(), step_pairings=trace.step_pairings())
+    else:
+        values.update(inconclusive=conclusion.reason, steps_taken=len(trace.step_pairings()))
+    forcing = RuleApplication("fixed-component-forcing", FORCING_CITATION, values)
+    if not unique:
+        return SectionCountResult(value=None, certificate_chain=(forcing,))
     return SectionCountResult(
-        value=None,
-        certificate_chain=(forcing_rule_application(trace),),
+        value=1,
+        certificate_chain=(
+            forcing,
+            RuleApplication(
+                rule="unique-member-section-count",
+                citation=UNIQUE_MEMBER_CITATION,
+                values={"h0": 1, "decomposition": conclusion.as_dict()},
+            ),
+        ),
     )

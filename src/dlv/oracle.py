@@ -52,29 +52,20 @@ def enumerate_decompositions(
     model: SurfaceModel,
     target: DivisorClass,
     coeff_bound: int,
-    include_exceptional: bool = False,
-    grid_cap: int = GRID_CAP,
 ) -> list[dict[str, int]]:
     """All ways to write ``target`` as a bounded non-negative combination
     of registered curves, by exhaustive search over the grid.
 
     Each returned map sends curve labels to counts in 1..coeff_bound (zero
-    counts omitted).  ``include_exceptional`` adds the exceptional classes
-    to the grid.  Raises :class:`BoundTooLarge` when the grid would exceed
-    ``grid_cap`` points.
+    counts omitted).  Raises :class:`BoundTooLarge` when the grid would
+    exceed ``GRID_CAP`` points.
     """
     model._check_owned(target)
     exact_int(coeff_bound, "coeff_bound", 0)
-    columns: list[tuple[str, tuple[int, ...]]] = [
-        (c.label, c.cls.coeffs) for c in model.curves
-    ]
-    if include_exceptional:
-        columns += [
-            (label, model.basis_class(label).coeffs) for label in model.exceptional_labels
-        ]
+    columns = [(c.label, c.cls.coeffs) for c in model.curves]
     grid = (coeff_bound + 1) ** len(columns)
-    if grid > grid_cap:
-        raise BoundTooLarge(f"grid of {grid} points exceeds the cap of {grid_cap}")
+    if grid > GRID_CAP:
+        raise BoundTooLarge(f"grid of {grid} points exceeds the cap of {GRID_CAP}")
     found = []
     size = model.size
     for counts in itertools.product(range(coeff_bound + 1), repeat=len(columns)):

@@ -192,18 +192,8 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
             f"witness pairing {certificate_value} != 4(m-1) - n^2 = {expected_certificate}"
         )
 
-    if certificate_value >= 0:
-        # Stage 3 refused, so the instance lies beyond the threshold.  The
-        # forcing statement on the blown-up base holds for every m >= 1;
-        # spot-check it and flag the scope, but report no top-surface h0.
-        spot_trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
-        spot = h0_unique_member(spot_trace)
-        for app in spot.certificate_chain:
-            chain.append(replace(app, values={**app.values, "scope": "Y'-only"}))
-        if spot.value != 1:
-            problems.append("blown-up-base forcing failed beyond the threshold")
-        status, h0 = BEYOND_THRESHOLD, None
-    else:
+    beyond = certificate_value >= 0
+    if not beyond:
         # Stage 4: transfer the surviving summand down to the blown-up base.
         down, base_orders = _transfer(
             chain, tower.base_blowup_map, m_one_dim, BASE_TRANSFER_CITATION
@@ -211,17 +201,19 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
         if down != m_member or base_orders != orders:
             problems.append("blown-up-base transfer does not match the member multiple")
 
-        # Stage 5: forcing pins the unique member.
-        trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
-        section_count = h0_unique_member(trace)
-        chain.extend(section_count.certificate_chain)
-        if section_count.value != 1:
-            problems.append("forcing did not conclude a unique member")
-        else:
-            decomposition = trace.conclusion.as_dict()
-            if decomposition != {"F'": m, "Gamma_n'": m}:
-                problems.append(f"unexpected decomposition {decomposition}")
-        status, h0 = VERIFIED, section_count.value
+    # Stage 5: forcing pins the unique member.  It holds on the blown-up
+    # base for every m >= 1; beyond the threshold (stage 3 refused) it is a
+    # spot check, its records carry the scope Y'-only, and no top-surface h0
+    # is reported.
+    trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
+    section_count = h0_unique_member(trace)
+    for app in section_count.certificate_chain:
+        chain.append(replace(app, values={**app.values, "scope": "Y'-only"}) if beyond else app)
+    if section_count.value != 1:
+        problems.append("blown-up-base forcing did not conclude a unique member")
+    elif trace.conclusion.as_dict() != {"F'": m, "Gamma_n'": m}:
+        problems.append(f"unexpected decomposition {trace.conclusion.as_dict()}")
+    status, h0 = (BEYOND_THRESHOLD, None) if beyond else (VERIFIED, section_count.value)
 
     a_sq = tower.base.self_int(classes["A"])
     d_sq = tower.cover_blowup.self_int(classes["D"])
@@ -286,13 +278,6 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
     return VerificationReport(
         n=n, m_max=m_max, instances=instances, summary=summary
     )
-
-
-def sweep(n_list) -> tuple[VerificationReport, ...]:
-    """One report per n; inputs validated up front, computed independently,
-    collected in input order."""
-    ns = [check_odd_n(n) for n in n_list]
-    return tuple(verify(n) for n in ns)
 
 
 # -- serialization -----------------------------------------------------------

@@ -35,8 +35,6 @@ def test_enumeration_misses_exceptional_class(tower_3):
     bb = tower_3.base_blowup
     e1 = bb.basis_class("e_1")
     assert enumerate_decompositions(bb, e1, 10) == []
-    with_exc = enumerate_decompositions(bb, e1, 10, include_exceptional=True)
-    assert with_exc == [{"e_1": 1}]
 
 
 def test_enumeration_grid_cap(tower_3):

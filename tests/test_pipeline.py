@@ -14,7 +14,6 @@ from dlv import (
     render_report_text,
     render_sweep_text,
     report_to_dict,
-    sweep,
     sweep_to_dict,
     verify,
     verify_instance,
@@ -152,22 +151,11 @@ def test_m_max_must_be_a_positive_int(bad):
 
 
 def test_sweep_reports_are_n_independent_in_d_squared():
-    reports = sweep([3, 5, 7])
+    reports = [verify(n) for n in (3, 5, 7)]
     assert len(reports) == 3
     for report in reports:
         assert all(r.d_n_squared == 4 for r in report.instances)
         assert all(r.a_n_squared == 8 for r in report.instances)
-
-
-def test_sweep_empty():
-    assert sweep([]) == ()
-
-
-def test_sweep_rejects_even_n():
-    with pytest.raises(InvalidParameter):
-        sweep([4])
-    with pytest.raises(InvalidParameter):
-        sweep([3, 5, 6])
 
 
 def test_report_json_is_deterministic():
@@ -183,7 +171,7 @@ def test_report_json_is_deterministic():
 def test_report_json_validates_against_schema():
     document = report_to_dict(verify(3))
     validate_document(document)
-    sweep_document = sweep_to_dict(sweep([3, 5]))
+    sweep_document = sweep_to_dict([verify(n) for n in (3, 5)])
     validate_document(sweep_document)
 
 
@@ -208,7 +196,7 @@ def test_text_rendering_contains_the_numbers():
 
 
 def test_sweep_text_rendering():
-    text = render_sweep_text(sweep([3, 5]))
+    text = render_sweep_text([verify(n) for n in (3, 5)])
     assert "n=3" in text and "n=5" in text
 
 
