@@ -19,7 +19,7 @@ from . import __version__
 from .constructions import build_tower, check_odd_n
 from .errors import DivisorLatticeError, InvalidParameter, SchemaViolation
 from .expr import ExprError, parse_expr
-from .lattice import format_class
+from .lattice import exact_int, format_class
 from .oracle import (
     bilinearity_suite,
     enumeration_check,
@@ -30,7 +30,6 @@ from .oracle import (
 from .pipeline import (
     FAILED,
     VerificationReport,
-    canonical_json,
     render_report_text,
     render_sweep_text,
     report_to_dict,
@@ -38,7 +37,7 @@ from .pipeline import (
     verify,
     verify_instance,
 )
-from .schema import document, schema_check_enabled, validate_document
+from .schema import canonical_json, document, schema_check_enabled, validate_document
 
 
 class _UsageError(Exception):
@@ -222,6 +221,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ns = _parse_odd_range(args.n_range)
+    # check every size before the first suite runs, with the suites' own names
+    exact_int(args.m_max, "m_max_per_n", 0)
+    exact_int(args.trials, "trials", 0)
+    exact_int(args.bound, "coeff_bound", 0)
     tower = build_tower(3)
     suites = [
         identity_suite(ns, m_max_per_n=args.m_max, seed=args.seed),

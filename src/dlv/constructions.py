@@ -45,7 +45,7 @@ from .errors import (
     UnknownCurve,
 )
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
-from .schema import document
+from .schema import canonical_json, document
 
 
 @dataclass(frozen=True)
@@ -514,8 +514,6 @@ def model_from_dict(data: dict) -> SurfaceModel:
 
 
 def save_model(model: SurfaceModel, path) -> None:
-    from .pipeline import canonical_json  # pipeline imports this module
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(model_to_dict(model)))
 

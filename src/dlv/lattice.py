@@ -21,6 +21,7 @@ from .errors import InvalidModel, InvalidParameter, MismatchedModel, UnknownCurv
 
 SURFACE_KINDS = ("abelian", "blowup", "cover", "other")
 _INT = frozenset((int,))
+_ROWS = (tuple, list)
 
 
 def exact_int(value, what: str, minimum: int | None = None) -> int:
@@ -146,6 +147,11 @@ class SurfaceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
+        for label in self.basis:
+            if not isinstance(label, str):
+                raise InvalidModel(f"basis labels must be strings, got {label!r}")
+        if not isinstance(self.gram, _ROWS) or not all(isinstance(r, _ROWS) for r in self.gram):
+            raise InvalidModel("a Gram matrix must be a tuple or list of tuples or lists")
         object.__setattr__(
             self, "gram", tuple(_exact_ints(row, "Gram entries") for row in self.gram)
         )

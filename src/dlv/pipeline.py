@@ -28,7 +28,6 @@ as JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -44,7 +43,7 @@ from .linsys import (
     fixed_part_forcing,
     h0_unique_member,
 )
-from .schema import document
+from .schema import canonical_json, document
 
 VERIFIED = "Verified"
 BEYOND_THRESHOLD = "BeyondThreshold"
@@ -307,12 +306,6 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 def sweep_to_dict(reports) -> dict:
     return document("sweep-report", reports=[report_to_dict(r) for r in reports])
-
-
-def canonical_json(obj: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
-    Identical inputs produce byte-identical output."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def render_report_text(report: VerificationReport) -> str:

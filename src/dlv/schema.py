@@ -2,7 +2,8 @@
 
 Every JSON document dlv writes opens with one envelope: ``schema`` (the
 kind), ``schema_version`` and ``tool_version``, built only by
-:func:`document`.  ``REPORT_SCHEMA`` states the five kinds the CLI emits:
+:func:`document`, and is written as the bytes of :func:`canonical_json`.
+``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
 its own JSON output against it before writing it.
@@ -22,6 +23,7 @@ is needed only there.
 
 from __future__ import annotations
 
+import json
 import os
 import reprlib
 
@@ -40,6 +42,12 @@ def document(kind: str, /, **fields) -> dict:
         "tool_version": __version__,
         **fields,
     }
+
+
+def canonical_json(obj: dict) -> str:
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+    Identical inputs produce byte-identical output."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _object(**props) -> dict:

@@ -256,6 +256,28 @@ def test_oracle_bad_numbers_are_usage_errors(tmp_path, capsys, flag, value):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "-5", "trials must be an integer >= 0, got -5"),
+        ("--m-max", "-3", "m_max_per_n must be an integer >= 0, got -3"),
+        ("--bound", "-1", "coeff_bound must be an integer >= 0, got -1"),
+    ],
+)
+def test_oracle_bad_numbers_fail_before_any_suite(capsys, monkeypatch, flag, value, message):
+    # --bound -1 used to fail only after the identity and bilinearity suites ran
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the oracle sizes were checked")
+
+    suites = ("identity_suite", "bilinearity_suite", "forcing_order_check", "enumeration_check")
+    for suite in suites:
+        monkeypatch.setattr(f"dlv.cli.{suite}", never)
+    code, out, err = run(capsys, "oracle", flag, value, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"dlv: error: {message}"
+
+
 def test_oracle_empty_suites_are_valid(capsys):
     code, out, err = run(
         capsys, "oracle", "--n-range", "3..3", "--trials", "0", "--m-max", "0",

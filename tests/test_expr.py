@@ -1,6 +1,8 @@
+import functools
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dlv import DivisorClass, MismatchedModel, build_tower, parse_expr
 from dlv.expr import ExprSyntaxError, UnknownIdentifier
@@ -124,3 +126,94 @@ def test_long_literal_converts_exactly():
     finally:
         if has_limit:
             sys.set_int_max_str_digits(saved)
+
+
+# -- parse_expr against an independent evaluator -----------------------------
+#
+# A tree is an int literal, a named class, ("neg", x) or (op, x, y) for op in
+# + - *.  Trees are typed: a class tree uses the named classes of one model,
+# and * always has an int side, so every drawn expression is well formed.
+
+_TOWER = build_tower(5)
+_GROUPS = {}
+for _name, _cls in sorted(_TOWER.classes.items()):
+    _GROUPS.setdefault(_cls.model_id, []).append(_name)
+
+
+@functools.lru_cache(maxsize=None)
+def _int_trees(depth):
+    leaf = st.integers(min_value=0, max_value=10**6)
+    if depth == 0:
+        return leaf
+    sub = _int_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _class_trees(names, depth):
+    leaf = st.sampled_from(names)
+    if depth == 0:
+        return leaf
+    sub, num = _class_trees(names, depth - 1), _int_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from("+-"), sub, sub),
+        st.tuples(st.just("*"), num, sub),
+        st.tuples(st.just("*"), sub, num),
+    )
+
+
+@st.composite
+def _expressions(draw):
+    """``(text, value)``: a fully parenthesized expression with random
+    spaces, and its value computed without the parser."""
+    names = tuple(_GROUPS[draw(st.sampled_from(sorted(_GROUPS)))])
+    top = draw(st.sampled_from(["int", "class", "pair"]))
+    if top == "int":
+        trees = [draw(_int_trees(6))]
+    else:
+        trees = [draw(_class_trees(names, 6)) for _ in range(1 + (top == "pair"))]
+    spaces = draw(st.randoms(use_true_random=False))
+
+    def gap():
+        return " " * spaces.randint(0, 2)
+
+    def render(tree):
+        if isinstance(tree, int):
+            return str(tree)
+        if isinstance(tree, str):
+            return tree
+        if tree[0] == "neg":
+            return f"({gap()}-{gap()}{render(tree[1])}{gap()})"
+        op, left, right = tree
+        return f"({gap()}{render(left)}{gap()}{op}{gap()}{render(right)}{gap()})"
+
+    def value(tree):
+        if isinstance(tree, int):
+            return tree
+        if isinstance(tree, str):
+            return _TOWER.classes[tree]
+        if tree[0] == "neg":
+            return -value(tree[1])
+        op, left, right = tree
+        a, b = value(left), value(right)
+        return a + b if op == "+" else a - b if op == "-" else a * b
+
+    values = [value(tree) for tree in trees]
+    text = f"{gap()}.{gap()}".join(render(tree) for tree in trees)
+    if top == "pair":
+        return gap() + text + gap(), _TOWER.model_of(values[0]).pair(*values)
+    return gap() + text + gap(), values[0]
+
+
+@given(_expressions())
+def test_parse_expr_matches_an_independent_evaluator(case):
+    text, expected = case
+    got = parse_expr(text, _TOWER.base, named=dict(_TOWER.classes), models=_TOWER.models)
+    assert got == expected
+    assert type(got) is type(expected)

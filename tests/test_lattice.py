@@ -94,6 +94,19 @@ def test_gram_must_be_square():
         SurfaceModel(model_id="bad", basis=("a", "b"), gram=((0, 1),))
 
 
+def test_basis_labels_must_be_strings():
+    # this used to build, and format_class then raised a bare TypeError
+    with pytest.raises(InvalidModel, match="basis labels must be strings, got 1"):
+        SurfaceModel("x", (1, 2), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("gram", [5, (5,), "5", ({0: 5},)], ids=repr)
+def test_gram_must_be_rows_of_a_tuple_or_list(gram):
+    # a Gram matrix of 5 used to raise "TypeError: 'int' object is not iterable"
+    with pytest.raises(InvalidModel, match="Gram matrix must be a tuple or list"):
+        SurfaceModel("x", ("a",), gram)
+
+
 @pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("where", ["gram", "coeffs"])
 def test_values_that_are_not_ints_are_rejected(where, bad):

@@ -78,6 +78,27 @@ def test_boundary_instance():
     assert any(app.rule == "noneffectivity-witness-failed" for app in result.h0.certificate_chain)
 
 
+@pytest.mark.parametrize("m", [1, m_threshold(3) + 1], ids=["verified", "beyond"])
+def test_inconclusive_forcing_yields_failed(monkeypatch, m):
+    # below and beyond the threshold the one forcing of the instance must
+    # reach a unique member; an inconclusive one is an internal contradiction
+    from dlv import FAILED, ForcingTrace, Inconclusive
+
+    def capped(model, start):
+        return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("cap"))
+
+    monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", capped)
+    result = verify_instance(3, m)
+    assert result.status == FAILED
+    assert not result.h0.is_known
+    (forcing,) = [a for a in result.h0.certificate_chain if a.rule == "fixed-component-forcing"]
+    assert forcing.values["inconclusive"] == "cap"
+    (failed,) = [a for a in result.h0.certificate_chain if a.rule == "internal-check-failed"]
+    assert failed.values["details"] == [
+        "blown-up-base forcing did not conclude a unique member"
+    ]
+
+
 def test_first_instance():
     result = verify_instance(3, 1)
     assert result.status == VERIFIED
