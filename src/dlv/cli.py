@@ -12,7 +12,9 @@ byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 
 from . import __version__
@@ -37,7 +39,7 @@ from .pipeline import (
     verify,
     verify_instance,
 )
-from .schema import canonical_json, document, schema_check_enabled, validate_document
+from .schema import document, schema_check_enabled, validate_document, write_json
 
 
 class _UsageError(Exception):
@@ -158,7 +160,11 @@ def _check_out(path: str) -> None:
 
 def _write(args, to_document, to_text) -> int:
     """Build the report in ``args.format`` and write it to ``args.out`` or
-    stdout; 2 when the schema self-check is on and rejects it, else 0."""
+    stdout; 2 when the schema self-check is on and rejects it, else 0.
+
+    A JSON document is checked whole before its first byte is streamed.  A
+    write that fails part way removes the ``--out`` file it began when that
+    is a regular file."""
     if args.format == "json":
         doc = to_document()
         if schema_check_enabled():
@@ -167,17 +173,27 @@ def _write(args, to_document, to_text) -> int:
             except SchemaViolation as exc:
                 print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
                 return 2
-        text = canonical_json(doc)
+        emit = lambda fh: write_json(doc, fh)
     else:
         text = to_text()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
+        emit = lambda fh: fh.write(text)
+    if not args.out:
+        emit(sys.stdout)
+        return 0
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from None
+    try:
+        with fh:
+            emit(fh)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # never a device such as /dev/null, nor a link
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.remove(args.out)
+        if isinstance(exc, OSError):
             raise _cannot_write(args.out, exc) from None
-    else:
-        sys.stdout.write(text)
+        raise
     return 0
 
 
@@ -205,8 +221,7 @@ def _cmd_sweep(args) -> int:
     ns = _parse_odd_range(args.n_range)
     reports = []
     for i, n in enumerate(ns, start=1):
-        if args.format == "text":
-            print(f"[{i}/{len(ns)}] n={n}", file=sys.stderr)
+        print(f"[{i}/{len(ns)}] n={n}", file=sys.stderr)
         report = verify(n)
         reports.append(report)
         if _report_exit_code([report]):

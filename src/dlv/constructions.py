@@ -45,7 +45,7 @@ from .errors import (
     UnknownCurve,
 )
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
-from .schema import canonical_json, document
+from .schema import document, write_json
 
 
 @dataclass(frozen=True)
@@ -515,7 +515,7 @@ def model_from_dict(data: dict) -> SurfaceModel:
 
 def save_model(model: SurfaceModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model_to_dict(model)))
+        write_json(model_to_dict(model), fh)
 
 
 def load_model(path) -> SurfaceModel:

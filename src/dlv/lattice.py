@@ -146,7 +146,11 @@ class SurfaceModel:
     _forcing_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
+        for name in ("basis", "curves", "provenance", "exceptional_labels"):
+            value = getattr(self, name)
+            if not isinstance(value, _ROWS):
+                raise InvalidModel(f"{name} must be a tuple or list, got {type(value).__name__}")
+            object.__setattr__(self, name, tuple(value))
         for label in self.basis:
             if not isinstance(label, str):
                 raise InvalidModel(f"basis labels must be strings, got {label!r}")
@@ -155,9 +159,6 @@ class SurfaceModel:
         object.__setattr__(
             self, "gram", tuple(_exact_ints(row, "Gram entries") for row in self.gram)
         )
-        object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        object.__setattr__(self, "exceptional_labels", tuple(self.exceptional_labels))
 
         n = len(self.basis)
         if n == 0:
@@ -177,6 +178,10 @@ class SurfaceModel:
                     )
         seen = set()
         for curve in self.curves:
+            if not isinstance(curve, RegisteredCurve):
+                raise InvalidModel(
+                    f"registered curves must be RegisteredCurve, got {type(curve).__name__}"
+                )
             if curve.label in seen:
                 raise InvalidModel(f"duplicate registered curve label {curve.label!r}")
             seen.add(curve.label)

@@ -43,7 +43,7 @@ from .linsys import (
     fixed_part_forcing,
     h0_unique_member,
 )
-from .schema import canonical_json, document
+from .schema import canonical_json, document  # noqa: F401 (canonical_json is re-exported)
 
 VERIFIED = "Verified"
 BEYOND_THRESHOLD = "BeyondThreshold"

@@ -2,7 +2,10 @@
 
 Every JSON document dlv writes opens with one envelope: ``schema`` (the
 kind), ``schema_version`` and ``tool_version``, built only by
-:func:`document`, and is written as the bytes of :func:`canonical_json`.
+:func:`document`, and is written by :func:`write_json`, the one encoder:
+the bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, streamed
+piece by piece to a file.  :func:`canonical_json` is the same bytes as a
+string.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
@@ -23,9 +26,10 @@ is needed only there.
 
 from __future__ import annotations
 
-import json
+import io
 import os
 import reprlib
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import SchemaViolation
@@ -44,10 +48,66 @@ def document(kind: str, /, **fields) -> dict:
     }
 
 
+def write_json(obj, fh) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` to the
+    text file ``fh``, piece by piece, never as one string.
+
+    Only the types a document holds are written: a ``dict`` with ``str``
+    keys (in sorted order), a ``list``, a ``str``, an ``int`` and ``True``,
+    ``False`` and ``None``.  Anything else (a float, a tuple, a set, a
+    non-``str`` key) raises ``TypeError``, possibly after earlier pieces
+    went out."""
+    _emit(obj, fh.write, "\n")
+    fh.write("\n")
+
+
 def canonical_json(obj: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
-    Identical inputs produce byte-identical output."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of :func:`write_json` as a string: sorted keys, fixed
+    separators, trailing newline.  Identical inputs give identical output."""
+    buffer = io.StringIO()
+    write_json(obj, buffer)
+    return buffer.getvalue()
+
+
+def _emit(value, write, newline: str) -> None:
+    """Write ``value``, whose lines after the first open with ``newline``."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # the bulk of a report: step pairings
+            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        separator = "["
+        for item in value:
+            write(separator + inner)
+            _emit(item, write, inner)
+            separator = ","
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{"
+        for key in sorted(value):  # a key that is no str fails to sort or to encode
+            write(separator + inner + encode_basestring_ascii(key) + ": ")
+            _emit(value[key], write, inner)
+            separator = ","
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _object(**props) -> dict:

@@ -138,6 +138,13 @@ def test_sweep_text_counter_on_stderr(capsys):
     assert "n=3" in out and "n=5" in out
 
 
+def test_sweep_json_counter_on_stderr(capsys):
+    code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--format", "json")
+    assert code == 0
+    assert err == "[1/2] n=3\n[2/2] n=5\n"
+    assert [r["n"] for r in json.loads(out)["reports"]] == [3, 5]
+
+
 def test_sweep_bad_range(capsys):
     for bad in ("4..6", "5..3", "3..", "x..y", "1..3"):
         code, out, err = run(capsys, "sweep", "--n-range", bad)
@@ -196,6 +203,26 @@ def test_document_digest_is_pinned(tmp_path, monkeypatch, argv, digest):
     out = tmp_path / "document.json"
     assert main([*argv, "--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "5", "--m", "3"),
+        ("sweep", "--n-range", "3..5"),
+        ("oracle", "--n-range", "3..3", "--m-max", "2", "--trials", "10"),
+        ("pair", "--n", "7", "--expr", "(2*A - R).G_n"),
+        ("pair", "--n", "3", "--expr", "2*A - R"),
+    ],
+    ids=["verify", "sweep", "oracle", "pair-pairing", "pair-class"],
+)
+def test_stdout_bytes_equal_out_bytes(tmp_path, capsysbinary, argv, fmt):
+    out = tmp_path / "report"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main([*argv, "--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_report_schema_digest_is_pinned():
@@ -376,6 +403,59 @@ def test_schema_violation_keeps_existing_out_bytes(tmp_path, capsys, monkeypatch
     code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(target))
     assert code == 2
     assert target.read_bytes() == b"earlier report\n"
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_internal_error_while_streaming_leaves_no_out_file(tmp_path, capsys, monkeypatch, existed):
+    # the summary is written after every instance, so part of the file is out
+    import dlv.cli as cli_mod
+
+    real = cli_mod.report_to_dict
+
+    def with_a_float(report):
+        return {**real(report), "summary": 0.5}
+
+    monkeypatch.delenv("DLV_SCHEMA_CHECK", raising=False)
+    monkeypatch.setattr(cli_mod, "report_to_dict", with_a_float)
+    target = tmp_path / "report.json"
+    if existed:
+        target.write_bytes(b"earlier report\n")
+    code, out, err = run(capsys, "verify", "--n", "5", "--format", "json", "--out", str(target))
+    assert code == 3
+    assert err == "dlv: internal error: TypeError: Object of type float is not JSON serializable\n"
+    assert out == ""
+    assert not target.exists()
+
+
+def test_internal_error_while_streaming_keeps_an_out_link(tmp_path, capsys, monkeypatch):
+    # only a regular file is removed: a link, like /dev/stdout, stays
+    import dlv.cli as cli_mod
+
+    real = cli_mod.report_to_dict
+    monkeypatch.setattr(cli_mod, "report_to_dict", lambda r: {**real(r), "summary": 0.5})
+    target = tmp_path / "report.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(link))
+    assert code == 3
+    assert link.is_symlink()
+
+
+def test_failed_write_while_streaming_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    import errno
+
+    import dlv.cli as cli_mod
+
+    def disk_full(doc, fh):
+        fh.write("{\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli_mod, "write_json", disk_full)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(target))
+    assert code == 1
+    assert err == f"dlv: error: cannot write {target}: No space left on device\n"
+    assert not target.exists()
 
 
 def test_new_out_file_gets_the_umask_permissions(tmp_path, capsys):

@@ -107,6 +107,24 @@ def test_gram_must_be_rows_of_a_tuple_or_list(gram):
         SurfaceModel("x", ("a",), gram)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("basis", 5, "basis must be a tuple or list, got int"),
+        ("exceptional_labels", 5, "exceptional_labels must be a tuple or list, got int"),
+        ("provenance", 5, "provenance must be a tuple or list, got int"),
+        ("curves", 5, "curves must be a tuple or list, got int"),
+        ("curves", (5,), "registered curves must be RegisteredCurve, got int"),
+    ],
+    ids=["basis", "exceptional_labels", "provenance", "curves", "curve"],
+)
+def test_malformed_fields_are_invalid_models(field, value, message):
+    # each used to end in a bare TypeError or AttributeError
+    fields = {"model_id": "x", "basis": ("a",), "gram": ((0,),), field: value}
+    with pytest.raises(InvalidModel, match=message):
+        SurfaceModel(**fields)
+
+
 @pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("where", ["gram", "coeffs"])
 def test_values_that_are_not_ints_are_rejected(where, bad):
