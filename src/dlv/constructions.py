@@ -463,7 +463,7 @@ def model_to_dict(model: SurfaceModel) -> dict:
     )
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "a list"}
 
 
 def _typed(value, kind: type, what: str):
@@ -473,43 +473,46 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _field(data: dict, key: str, kind: type, where: str = "a model"):
+def _field(data: dict, key: str, kind: type | None = None, where: str = "a model"):
+    """``data[key]``, of JSON type ``kind`` when one is given; ``InvalidModel``
+    naming the key when it is missing or of another type."""
     if key not in data:
         raise InvalidModel(f"{where} lacks the required key {key!r}")
-    return _typed(data[key], kind, f"{key!r} of {where}")
-
-
-def _labels(values, key: str) -> tuple[str, ...]:
-    for value in _typed(values, list, f"{key!r} of a model"):
-        _typed(value, str, f"each entry of {key!r}")
-    return tuple(values)
+    return data[key] if kind is None else _typed(data[key], kind, f"{key!r} of {where}")
 
 
 def _curve_from_dict(model_id: str, data) -> RegisteredCurve:
     _typed(data, dict, "a curve")
     return RegisteredCurve(
-        label=_field(data, "label", str, "a curve"),
+        label=_field(data, "label", where="a curve"),
         cls=DivisorClass(model_id, _field(data, "coeffs", list, "a curve")),
-        note=_typed(data.get("note", ""), str, "'note' of a curve"),
+        note=data.get("note", ""),
     )
 
 
 def model_from_dict(data: dict) -> SurfaceModel:
-    """The model a :func:`model_to_dict` document describes; ``InvalidModel``
-    naming the key when a field is missing or of the wrong JSON type."""
+    """The model a :func:`model_to_dict` document describes.
+
+    The loader checks only what concerns JSON: a missing key, the
+    ``schema`` name, and the objects and lists it takes apart; it names
+    the key.  Every other value is left to the constructors, whose
+    messages name the field too.
+    """
     _typed(data, dict, "a model")
-    schema = _field(data, "schema", str)
+    schema = _field(data, "schema")
     if schema != "surface-model":
         raise InvalidModel(f"'schema' of a model must be 'surface-model', got {schema!r}")
-    model_id = _field(data, "model_id", str)
+    model_id = _field(data, "model_id")
     return SurfaceModel(
         model_id=model_id,
-        basis=_labels(_field(data, "basis", list), "basis"),
+        basis=_field(data, "basis", list),
         gram=[_typed(row, list, "each row of 'gram'") for row in _field(data, "gram", list)],
-        curves=tuple(_curve_from_dict(model_id, c) for c in _field(data, "curves", list)),
-        kind=_field(data, "kind", str),
-        provenance=_labels(data.get("provenance", []), "provenance"),
-        exceptional_labels=_labels(data.get("exceptional_labels", []), "exceptional_labels"),
+        curves=[_curve_from_dict(model_id, c) for c in _field(data, "curves", list)],
+        kind=_field(data, "kind"),
+        provenance=_typed(data.get("provenance", []), list, "'provenance' of a model"),
+        exceptional_labels=_typed(
+            data.get("exceptional_labels", []), list, "'exceptional_labels' of a model"
+        ),
     )
 
 

@@ -105,6 +105,15 @@ class RegisteredCurve:
     cls: DivisorClass
     note: str = ""
 
+    def __post_init__(self):
+        for name in ("label", "note"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise InvalidModel(
+                    f"{name!r} of a registered curve must be a string, "
+                    f"got {type(value).__name__}"
+                )
+
 
 @dataclass(frozen=True)
 class SurfaceModel:
@@ -146,6 +155,10 @@ class SurfaceModel:
     _forcing_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.model_id, str):
+            raise InvalidModel(
+                f"'model_id' must be a string, got {type(self.model_id).__name__}"
+            )
         for name in ("basis", "curves", "provenance", "exceptional_labels"):
             value = getattr(self, name)
             if not isinstance(value, _ROWS):
@@ -153,7 +166,12 @@ class SurfaceModel:
             object.__setattr__(self, name, tuple(value))
         for label in self.basis:
             if not isinstance(label, str):
-                raise InvalidModel(f"basis labels must be strings, got {label!r}")
+                raise InvalidModel(f"basis labels must be strings, got {label!r} in 'basis'")
+        for note in self.provenance:
+            if not isinstance(note, str):
+                raise InvalidModel(
+                    f"each entry of 'provenance' must be a string, got {type(note).__name__}"
+                )
         if not isinstance(self.gram, _ROWS) or not all(isinstance(r, _ROWS) for r in self.gram):
             raise InvalidModel("a Gram matrix must be a tuple or list of tuples or lists")
         object.__setattr__(
@@ -166,7 +184,7 @@ class SurfaceModel:
         if len(set(self.basis)) != n:
             raise InvalidModel("basis labels must be unique")
         if self.kind not in SURFACE_KINDS:
-            raise InvalidModel(f"unknown surface kind {self.kind!r}")
+            raise InvalidModel(f"'kind' must be one of {SURFACE_KINDS}, got {self.kind!r}")
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise InvalidModel(f"Gram matrix must be {n}x{n}")
         for i in range(n):

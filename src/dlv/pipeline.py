@@ -309,7 +309,8 @@ def sweep_to_dict(reports) -> dict:
 
 
 def render_report_text(report: VerificationReport) -> str:
-    """Human-readable table carrying the same numbers as the JSON."""
+    """Human-readable table carrying the same numbers as the JSON, then
+    why each ``Failed`` instance failed: its internal-check details."""
     header = (
         f"verification report  n={report.n}  certified threshold m={m_threshold(report.n)}  "
         f"(instances m={report.instances[0].m}..{report.instances[-1].m})  "
@@ -337,6 +338,10 @@ def render_report_text(report: VerificationReport) -> str:
                 for i, cell in enumerate(row)
             ).rstrip()
         )
+    for r in report.instances:
+        for app in r.h0.certificate_chain:
+            if app.rule == "internal-check-failed":
+                lines.extend(f"  m={r.m} {FAILED}: {detail}" for detail in app.values["details"])
     lines.append(f"summary: {report.summary}")
     return "\n".join(lines) + "\n"
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dlv import InvalidModel
 from dlv.cli import main
 from dlv.pipeline import canonical_json
 from dlv.schema import REPORT_SCHEMA
@@ -507,6 +508,28 @@ def test_failed_instance_exits_two(capsys, monkeypatch):
     assert code == 2
 
 
+def test_text_says_why_an_instance_failed(capsys, monkeypatch):
+    from dlv import ForcingTrace, Inconclusive
+
+    def capped(model, start):
+        return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("cap"))
+
+    monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", capped)
+    why = "blown-up-base forcing did not conclude a unique member"
+    code, out, err = run(capsys, "verify", "--n", "3", "--m", "2")
+    assert code == 2
+    table, summary = out.split("  m=2 Failed: ")
+    assert summary.startswith(f"{why}\nsummary: ")
+    assert "Failed" in table  # the status column
+    # the JSON carries the same details, in the chain and nowhere else
+    code, out, err = run(capsys, "verify", "--n", "3", "--m", "2", "--format", "json")
+    assert code == 2
+    (instance,) = json.loads(out)["instances"]
+    (failed,) = [a for a in instance["certificate_chain"] if a["rule"] == "internal-check-failed"]
+    assert failed["values"]["details"] == [why]
+    assert "m=2 Failed" not in out
+
+
 def test_oracle_failure_exits_two(capsys, monkeypatch):
     import dlv.cli as cli_mod
     from dlv import OracleReport
@@ -521,6 +544,38 @@ def test_oracle_failure_exits_two(capsys, monkeypatch):
     )
     assert code == 2
     assert "constructed mismatch" in out
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [(InvalidModel, 1, "dlv: error: "), (RuntimeError, 3, "dlv: internal error: RuntimeError: ")],
+    ids=["domain error", "internal error"],
+)
+def test_oracle_that_raises_in_a_child_ends_as_a_one_share_run(
+    capsys, monkeypatch, error, code, line
+):
+    import os
+
+    from dlv import oracle
+
+    original = oracle._random_model
+
+    def model_or_raise(rng, tag):
+        if tag == "0:9":  # the last trial: a child's when there are shares
+            raise error(f"broken trial {tag}")
+        return original(rng, tag)
+
+    monkeypatch.setattr(oracle, "_random_model", model_or_raise)
+    argv = ("oracle", "--n-range", "3..3", "--m-max", "1", "--trials", "10")
+    ends = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        ends.append(run(capsys, *argv))
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+    assert ends[0] == ends[1]
+    assert ends[0][:2] == (code, "")
+    assert ends[0][2].splitlines()[-1] == f"{line}broken trial 0:9"
 
 
 def test_failed_instance_aborts_sweep(capsys, monkeypatch):

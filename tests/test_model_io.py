@@ -1,14 +1,19 @@
 import json
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from dlv import (
+    DivisorClass,
     InvalidModel,
+    RegisteredCurve,
+    SurfaceModel,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
 )
+from dlv.lattice import SURFACE_KINDS
 
 
 @pytest.mark.parametrize("which", ["base", "base_blowup", "cover", "cover_blowup"])
@@ -132,3 +137,79 @@ def test_large_entries_survive_round_trip():
     n = 10**6 + 1
     model = build_abelian_product(n)
     assert model_from_dict(model_to_dict(model)).gram[1][2] == n * n
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: SurfaceModel(5, ("a",), ((0,),)), "model_id"),
+        (lambda: SurfaceModel("x", ("a",), ((0,),), provenance=(5,)), "provenance"),
+        (lambda: RegisteredCurve(5, DivisorClass("x", (1,))), "label"),
+        (lambda: RegisteredCurve("c", DivisorClass("x", (1,)), None), "note"),
+    ],
+    ids=["model_id", "provenance", "label", "note"],
+)
+def test_the_constructor_rejects_what_the_loader_rejects(build, key):
+    # each of these used to build, and save_model wrote a file that
+    # load_model then rejected
+    with pytest.raises(InvalidModel, match=repr(key)):
+        build()
+
+
+_INTS = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def models(draw):
+    size = draw(st.integers(1, 5))
+    basis = draw(st.lists(st.text(max_size=6), min_size=size, max_size=size, unique=True))
+    upper = {(i, j): draw(_INTS) for i in range(size) for j in range(i, size)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+    model_id = draw(st.text(max_size=12))
+    curves = draw(
+        st.lists(
+            st.tuples(
+                st.text(max_size=6),
+                st.lists(_INTS, min_size=size, max_size=size).filter(any),
+                st.text(max_size=10),
+            ),
+            max_size=3,
+            unique_by=lambda curve: curve[0],
+        )
+    )
+    fields = dict(
+        curves=[RegisteredCurve(label, DivisorClass(model_id, c), note) for label, c, note in curves],
+        kind=draw(st.sampled_from(SURFACE_KINDS)),
+        provenance=draw(st.lists(st.text(max_size=10), max_size=3)),
+        exceptional_labels=draw(st.lists(st.sampled_from(basis), max_size=size)),
+    )
+    try:
+        return SurfaceModel(model_id, basis, gram, **fields)
+    except InvalidModel:  # an abelian model with a negative curve
+        assume(False)
+
+
+@given(models())
+def test_every_model_the_constructor_builds_loads_back(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert load_model(path) == model
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_MODEL_KEYS = ("model_id", "basis", "gram", "curves", "kind", "provenance", "exceptional_labels")
+
+
+@given(st.sampled_from(_MODEL_KEYS + ("label", "coeffs", "note")), _JSON)
+def test_adversarial_json_loads_as_built_or_is_an_invalid_model(tower_3, key, value):
+    data = model_to_dict(tower_3.base)
+    (data["curves"][0] if key in ("label", "coeffs", "note") else data)[key] = value
+    try:
+        model = model_from_dict(data)
+    except InvalidModel:
+        return
+    assert model_to_dict(model) == data

@@ -1,8 +1,11 @@
+import os
+
 import pytest
 
 from dlv import (
     BoundTooLarge,
     DivisorClass,
+    InvalidModel,
     InvalidParameter,
     RegisteredCurve,
     RegistryTooLarge,
@@ -16,6 +19,7 @@ from dlv import (
     identity_suite,
     oracle_report_to_dict,
 )
+from dlv import oracle
 from dlv.schema import validate_document
 
 
@@ -135,3 +139,105 @@ def test_identity_single_checks(tower_5, tower_7):
     bb5 = tower_5.base_blowup
     residual = 3 * tower_5.classes["L"] - bb5.curve("F'").cls
     assert bb5.pair(residual, bb5.curve("Gamma_n'").cls) == -2 * 3 - 1  # == -7
+
+
+# -- the bilinearity suite split over forked shares --------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pretend this process may use ``k`` CPUs; after the test, no child of
+    the suite is left running or unreaped."""
+
+    def pretend(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    yield pretend
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _trial_of(failure: str) -> int:
+    return int(failure.split(":")[0].removeprefix("trial "))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bilinearity_report_does_not_depend_on_the_split(monkeypatch, cpus, k):
+    original = SurfaceModel.pair
+    # off by one on every model of size 3: fails trials all through the range
+    monkeypatch.setattr(
+        SurfaceModel, "pair", lambda self, d1, d2: original(self, d1, d2) + (self.size == 3)
+    )
+    cpus(1)
+    reference = bilinearity_suite(trials=60, seed=3)
+    cpus(k)
+    report = bilinearity_suite(trials=60, seed=3)
+    assert report == reference
+    trials = [_trial_of(f) for f in report.failures]
+    assert trials == sorted(trials)
+    for share in range(3):  # every share of the 3-way split fails some trial
+        assert any(20 * share <= t < 20 * (share + 1) for t in trials)
+
+
+@pytest.mark.parametrize(
+    "raising, first",
+    [({59}, 59), ({0, 30, 59}, 0), ({30, 59}, 30), (set(range(60)), 0)],
+    ids=["last share", "every share", "two children", "every trial"],
+)
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_first_share_to_raise_is_re_raised(monkeypatch, cpus, k, raising, first):
+    original = oracle._random_model
+
+    def model_or_raise(rng, tag):
+        if int(tag.split(":")[1]) in raising:
+            raise InvalidModel(f"broken trial {tag}")
+        return original(rng, tag)
+
+    monkeypatch.setattr(oracle, "_random_model", model_or_raise)
+    cpus(k)
+    # a share stops at its first raising trial; the lowest raising share wins
+    with pytest.raises(InvalidModel, match=rf"^broken trial 3:{first}$"):
+        bilinearity_suite(trials=60, seed=3)
+
+
+def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch, cpus):
+    parent, original = os.getpid(), oracle._random_model
+
+    def model_or_exit(rng, tag):
+        if tag == "3:59" and os.getpid() != parent:
+            os._exit(7)
+        return original(rng, tag)
+
+    monkeypatch.setattr(oracle, "_random_model", model_or_exit)
+    cpus(2)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        bilinearity_suite(trials=60, seed=3)
+
+
+@pytest.mark.parametrize(
+    "trials, k", [(0, 4), (1, 4), (10, None)], ids=["no trial", "one trial", "no affinity call"]
+)
+def test_one_share_forks_nothing(monkeypatch, cpus, trials, k):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if k is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        cpus(k)
+    assert bilinearity_suite(trials=trials).trials == trials
+
+
+def test_a_split_never_has_more_shares_than_trials(monkeypatch, cpus):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cpus(8)
+    assert bilinearity_suite(trials=3, seed=1).ok
+    assert len(forks) == 2
