@@ -62,6 +62,7 @@ from .errors import (
     WrongSurfaceKind,
 )
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
+from .schema import IntRuns
 
 NEF_RULE_CITATION = (
     "an effective class on an abelian surface is nef (no curve on it has "
@@ -82,7 +83,7 @@ UNIQUE_MEMBER_CITATION = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleApplication:
     """One cited step in a certificate chain."""
 
@@ -209,7 +210,7 @@ def blowup_section_transfer(
 # -- fixed-component forcing -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniqueMember:
     """The linear system has exactly one member, with this decomposition
     into registered curves (label, count), zero counts omitted."""
@@ -220,7 +221,7 @@ class UniqueMember:
         return dict(self.decomposition)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inconclusive:
     """Forcing could not pin down the system; ``reason`` is one of
     ``no forcing curve``, ``outside registry cone``, ``cap``."""
@@ -235,7 +236,7 @@ class ForcingStep:
     residual_after: DivisorClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForcingRun:
     """``repeats`` consecutive passes through one cycle of subtractions.
 
@@ -263,19 +264,7 @@ class ForcingTrace:
 
     def step_pairings(self) -> list[int]:
         """The pairing value of every subtraction, in order."""
-        values: list[int] = []
-        for run in self.runs:
-            period = len(run.curves)
-            block = [0] * (period * run.repeats)
-            for s, (first, shift) in enumerate(zip(run.pairings, run.shifts)):
-                # each cycle position is an arithmetic progression over the passes
-                block[s::period] = (
-                    range(first, first + run.repeats * shift, shift)
-                    if shift
-                    else [first] * run.repeats
-                )
-            values += block
-        return values
+        return list(_pairing_runs(self))
 
     @cached_property
     def steps(self) -> tuple[ForcingStep, ...]:
@@ -288,6 +277,12 @@ class ForcingTrace:
                 ForcingStep(curve.label, value, DivisorClass(self.start.model_id, residual))
             )
         return tuple(steps)
+
+
+def _pairing_runs(trace: ForcingTrace) -> IntRuns:
+    """The pairings of ``trace``, in order, as a sequence that keeps only
+    its runs; :meth:`ForcingTrace.step_pairings` lists them."""
+    return IntRuns((run.pairings, run.shifts, run.repeats) for run in trace.runs)
 
 
 def _fraction_free_inverse(
@@ -556,7 +551,7 @@ def fixed_part_forcing(
     return ForcingTrace(start=start, runs=tuple(runs), conclusion=conclusion)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionCountResult:
     """A section count (h0) with its certificate chain.
 
@@ -582,7 +577,9 @@ def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
     recorded as a cited rule application.
 
     Returns 1 when the trace concludes ``UniqueMember`` (for the zero
-    class: constants only), and unknown otherwise.
+    class: constants only), and unknown otherwise.  The record's
+    ``step_pairings`` is an :class:`~dlv.schema.IntRuns` over the trace's
+    runs, so it stays small however many subtractions it stands for.
     """
     conclusion = trace.conclusion
     unique = isinstance(conclusion, UniqueMember)
@@ -599,9 +596,9 @@ def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
         )
     values = {"start": list(trace.start.coeffs)}
     if unique:
-        values.update(decomposition=conclusion.as_dict(), step_pairings=trace.step_pairings())
+        values.update(decomposition=conclusion.as_dict(), step_pairings=_pairing_runs(trace))
     else:
-        values.update(inconclusive=conclusion.reason, steps_taken=len(trace.step_pairings()))
+        values.update(inconclusive=conclusion.reason, steps_taken=len(_pairing_runs(trace)))
     forcing = RuleApplication("fixed-component-forcing", FORCING_CITATION, values)
     if not unique:
         return SectionCountResult(value=None, certificate_chain=(forcing,))

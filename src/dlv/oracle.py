@@ -198,10 +198,19 @@ def _random_class(rng: random.Random, model: SurfaceModel) -> DivisorClass:
     )
 
 
-def _bilinearity_trials(seed: int, start: int, stop: int) -> list[str]:
-    """The failures of trials ``start`` .. ``stop - 1``, in trial order."""
+def _bilinearity_trials(
+    seed: int, start: int, stop: int, parent: int | None = None
+) -> list[str]:
+    """The failures of trials ``start`` .. ``stop - 1``, in trial order.
+
+    A forked share passes ``parent``, the pid of the process that forked
+    it, and leaves through ``os._exit`` before any trial once that process
+    is gone (a signal it could not handle, ``SIGKILL`` included, ends it
+    without reaping its children)."""
     failures = []
     for t in range(start, stop):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         rng = random.Random(f"{seed}:{t}")
         model = _random_model(rng, f"{seed}:{t}")
         d1 = _random_class(rng, model)
@@ -246,8 +255,10 @@ def _fork_share(seed: int, start: int, stop: int):
     marshalled outcome: ``(True, failures)``, or ``(False, exception)``
     with the exception pickled (the child is this program, so trusted).
     The child leaves through ``os._exit`` whatever happens, so it never
-    returns into the caller's stack.
+    returns into the caller's stack, and it stops between two trials once
+    this process is gone.
     """
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -260,7 +271,7 @@ def _fork_share(seed: int, start: int, stop: int):
         try:
             os.close(read_fd)
             try:
-                outcome = (True, _bilinearity_trials(seed, start, stop))
+                outcome = (True, _bilinearity_trials(seed, start, stop, parent))
             except BaseException as exc:
                 import pickle  # only here: importing it costs every run 0.3 MB
 

@@ -73,7 +73,7 @@ def m_threshold(n: int) -> int:
     return (n * n + 3) // 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceResult:
     """Outcome of the certificate chain for one (n, m)."""
 
@@ -86,7 +86,7 @@ class InstanceResult:
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     n: int
     m_max: int

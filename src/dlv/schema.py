@@ -5,7 +5,9 @@ kind), ``schema_version`` and ``tool_version``, built only by
 :func:`document`, and is written by :func:`write_json`, the one encoder:
 the bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, streamed
 piece by piece to a file.  :func:`canonical_json` is the same bytes as a
-string.
+string.  A document may hold an :class:`IntRuns` where it holds a list of
+ints; the encoder writes it as that list, so ``json.dumps`` of a document
+needs ``default=list``.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
@@ -27,8 +29,10 @@ is needed only there.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import reprlib
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -53,9 +57,10 @@ def write_json(obj, fh) -> None:
     text file ``fh``, piece by piece, never as one string.
 
     Only the types a document holds are written: a ``dict`` with ``str``
-    keys (in sorted order), a ``list``, a ``str``, an ``int`` and ``True``,
-    ``False`` and ``None``.  Anything else (a float, a tuple, a set, a
-    non-``str`` key) raises ``TypeError``, possibly after earlier pieces
+    keys (in sorted order), a ``list``, an :class:`IntRuns` (as the list of
+    its ints), a ``str``, an ``int`` and ``True``, ``False`` and ``None``.
+    Anything else (a float, a tuple, a set, a non-``str`` key, a subclass of
+    :class:`IntRuns`) raises ``TypeError``, possibly after earlier pieces
     went out."""
     _emit(obj, fh.write, "\n")
     fh.write("\n")
@@ -69,9 +74,80 @@ def canonical_json(obj: dict) -> str:
     return buffer.getvalue()
 
 
+class IntRuns(Sequence):
+    """A read-only sequence of ints, stored as runs: ``(firsts, shifts,
+    repeats)`` stands for ``repeats`` passes through ``len(firsts)``
+    positions, pass k holding ``firsts[s] + k * shifts[s]`` at position s.
+
+    Forcing records its step pairings so, in memory that does not grow with
+    their number; :func:`write_json` writes one as the list of its ints,
+    expanding it only while it writes it.  It equals a list of the same
+    ints, and indexes, slices and iterates like one.
+    """
+
+    __slots__ = ("_runs", "_length")
+
+    def __init__(self, runs):
+        self._runs = tuple(
+            (tuple(firsts), tuple(shifts), repeats) for firsts, shifts, repeats in runs
+        )
+        self._length = sum(len(firsts) * repeats for firsts, _, repeats in self._runs)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(_expand_run, self._runs))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        position = range(self._length)[index]  # IndexError and TypeError as for a list
+        for firsts, shifts, repeats in self._runs:
+            size = len(firsts) * repeats
+            if position < size:
+                k, s = divmod(position, len(firsts))
+                return firsts[s] + k * shifts[s]
+            position -= size
+
+    def __eq__(self, other):
+        if type(other) is IntRuns:
+            return self._length == other._length and list(self) == list(other)
+        if isinstance(other, list):
+            return self._length == len(other) and list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IntRuns({list(self._runs)!r})"
+
+
+def _expand_run(run) -> list[int]:
+    """The ints of one ``(firsts, shifts, repeats)`` run of :class:`IntRuns`."""
+    firsts, shifts, repeats = run
+    period = len(firsts)
+    block = [0] * (period * repeats)
+    for s, (first, shift) in enumerate(zip(firsts, shifts)):
+        # each position is an arithmetic progression over the passes
+        block[s::period] = (
+            range(first, first + repeats * shift, shift) if shift else [first] * repeats
+        )
+    return block
+
+
 def _emit(value, write, newline: str) -> None:
     """Write ``value``, whose lines after the first open with ``newline``."""
-    if isinstance(value, str):
+    kind = type(value)  # the common types first, by exact type
+    if kind is dict:
+        _emit_dict(value, write, newline)
+    elif kind is list:
+        _emit_list(value, write, newline)
+    elif kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif kind is IntRuns:
+        _emit_list(list(value), write, newline)  # expanded only while it is written
+    elif isinstance(value, str):
         write(encode_basestring_ascii(value))
     elif value is None:
         write("null")
@@ -82,32 +158,47 @@ def _emit(value, write, newline: str) -> None:
     elif isinstance(value, int):
         write(int.__repr__(value))
     elif isinstance(value, list):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, value)) == {int}:  # the bulk of a report: step pairings
-            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            return
-        separator = "["
-        for item in value:
-            write(separator + inner)
-            _emit(item, write, inner)
-            separator = ","
-        write(newline + "]")
+        _emit_list(value, write, newline)
     elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = newline + "  "
-        separator = "{"
-        for key in sorted(value):  # a key that is no str fails to sort or to encode
-            write(separator + inner + encode_basestring_ascii(key) + ": ")
-            _emit(value[key], write, inner)
-            separator = ","
-        write(newline + "}")
+        _emit_dict(value, write, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_list(value, write, newline: str) -> None:
+    if not value:
+        write("[]")
+        return
+    inner = newline + "  "
+    if set(map(type, value)) == {int}:  # the bulk of a report: step pairings
+        write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        return
+    separator = "["
+    for item in value:
+        write(separator + inner)
+        _emit(item, write, inner)
+        separator = ","
+    write(newline + "]")
+
+
+def _emit_dict(value, write, newline: str) -> None:
+    if not value:
+        write("{}")
+        return
+    inner = newline + "  "
+    separator = "{"
+    for key in sorted(value):  # a key that is no str fails to sort or to encode
+        item = value[key]
+        head = separator + inner + encode_basestring_ascii(key) + ": "
+        if type(item) is str:  # the common scalars in one write
+            write(head + encode_basestring_ascii(item))
+        elif type(item) is int:
+            write(head + int.__repr__(item))
+        else:
+            write(head)
+            _emit(item, write, inner)
+        separator = ","
+    write(newline + "}")
 
 
 def _object(**props) -> dict:

@@ -28,6 +28,7 @@ from dlv import (
     pullback,
 )
 from dlv.linsys import _first_all_negative, _ForcingPlan
+from dlv.schema import IntRuns
 from stepwise_reference import _solve_exact, stepwise_forcing
 
 
@@ -416,3 +417,26 @@ def test_forcing_decomposition_closed_form(m):
     trace = fixed_part_forcing(tower.base_blowup, m * tower.classes["L"])
     assert isinstance(trace.conclusion, UniqueMember)
     assert trace.conclusion.as_dict() == {"F'": m, "Gamma_n'": m}
+
+
+@pytest.mark.parametrize("n", [3, 21])
+def test_the_forcing_record_keeps_the_runs_of_its_pairings(n):
+    tower = build_tower(n)
+    for m in range(1, m_threshold(n) + 2):
+        trace = fixed_part_forcing(tower.base_blowup, m * tower.classes["L"])
+        record = h0_unique_member(trace).certificate_chain[0].values["step_pairings"]
+        expected = trace.step_pairings()
+        assert type(record) is IntRuns and type(expected) is list
+        assert len(record._runs) == len(trace.runs) <= 5
+        assert len(record) == len(expected) == 2 * m
+        assert list(record) == expected and record == expected and expected == record
+        assert [record[i] for i in range(-2 * m, 2 * m)] == expected * 2
+        assert record[m:] == expected[m:]
+
+
+def test_an_inconclusive_record_counts_its_steps_without_pairings(tower_3):
+    trace = fixed_part_forcing(tower_3.base_blowup, 5 * tower_3.classes["L"], step_cap=3)
+    (record,) = h0_unique_member(trace).certificate_chain
+    assert record.values == {
+        "start": list(trace.start.coeffs), "inconclusive": "cap", "steps_taken": 3
+    }

@@ -1,4 +1,8 @@
 import os
+import select
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -241,3 +245,38 @@ def test_a_split_never_has_more_shares_than_trials(monkeypatch, cpus):
     cpus(8)
     assert bilinearity_suite(trials=3, seed=1).ok
     assert len(forks) == 2
+
+
+def test_a_share_whose_parent_is_gone_stops():
+    """A share is forked by a process that is then killed and cannot reap
+    it; the share must stop (gone or a zombie) rather than run its trials.
+    The share inherits the write end of a pipe, so it has stopped once
+    every writer is gone and the read end sees end-of-file."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    read_fd, write_fd = os.pipe()
+    code = (
+        "import time; from dlv.oracle import _fork_share; "
+        "pid, _ = _fork_share(1, 0, 10**9); print(pid, flush=True); time.sleep(60)"
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        pass_fds=(write_fd,),
+    )
+    os.close(write_fd)
+    share = None
+    try:
+        share = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait()
+        assert select.select([read_fd], [], [], 2.0)[0], "the share is still running"
+        assert os.read(read_fd, 1) == b""
+        share = None
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        os.close(read_fd)
+        if share is not None:  # a share left running: end it here
+            os.kill(share, signal.SIGKILL)

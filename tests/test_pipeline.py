@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from dlv import (
     BEYOND_THRESHOLD,
+    Inconclusive,
+    UniqueMember,
     VERIFIED,
     InvalidParameter,
     SchemaViolation,
@@ -18,6 +22,8 @@ from dlv import (
     verify,
     verify_instance,
 )
+from dlv.linsys import ForcingRun, RuleApplication, SectionCountResult
+from dlv.pipeline import InstanceResult, VerificationReport
 from dlv.schema import REPORT_SCHEMA, validate_document
 
 
@@ -244,3 +250,42 @@ def test_instance_rejects_mismatched_tower():
 
     with pytest.raises(InvalidParameter):
         verify_instance(5, 1, tower=build_tower(3))
+
+
+def _retained(n: int) -> int:
+    """Bytes that ``verify(n)``'s report keeps allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = verify(n)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(report.instances) == m_threshold(n) + 1
+    return retained
+
+
+def test_a_report_keeps_memory_that_grows_with_its_instances_not_its_pairings():
+    # from n = 41 to 61 the step pairings grow by (61/41)^4, about 4.9x, and
+    # the instances by (61/41)^2, about 2.2x
+    verify(3)  # imports and first-use caches, outside both measurements
+    assert _retained(61) < 3 * _retained(41)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        RuleApplication("r", "c", {}),
+        SectionCountResult(None, ()),
+        ForcingRun((), (), (), 1),
+        UniqueMember(()),
+        Inconclusive("cap"),
+        InstanceResult(3, 1, 8, 4, -9, SectionCountResult(None, ()), VERIFIED),
+        VerificationReport(3, 3, (), "s"),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_the_records_every_instance_keeps_have_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")

@@ -21,7 +21,7 @@ from dlv import (
     sweep_to_dict,
     verify_instance,
 )
-from dlv.schema import REPORT_SCHEMA, document, validate_document
+from dlv.schema import REPORT_SCHEMA, canonical_json, document, validate_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -94,7 +94,7 @@ def test_base_documents_are_valid():
 def test_checker_agrees_with_jsonschema_on_mutants():
     reference = Draft202012Validator(REPORT_SCHEMA)
     rng = random.Random(20261018)
-    bases = [json.dumps(doc) for doc in _base_documents()]
+    bases = [canonical_json(doc) for doc in _base_documents()]
     disagreements, accepted, total = [], 0, 5000
     for i in range(total):
         doc = json.loads(bases[i % len(bases)])
