@@ -100,25 +100,12 @@ class IntRuns(Sequence):
         return itertools.chain.from_iterable(map(_expand_run, self._runs))
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        position = range(self._length)[index]  # IndexError and TypeError as for a list
-        for firsts, shifts, repeats in self._runs:
-            size = len(firsts) * repeats
-            if position < size:
-                k, s = divmod(position, len(firsts))
-                return firsts[s] + k * shifts[s]
-            position -= size
+        return list(self)[index]
 
     def __eq__(self, other):
-        if type(other) is IntRuns:
-            return self._length == other._length and list(self) == list(other)
         if isinstance(other, list):
             return self._length == len(other) and list(self) == other
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"IntRuns({list(self._runs)!r})"
 
 
 def _expand_run(run) -> list[int]:
@@ -136,18 +123,7 @@ def _expand_run(run) -> list[int]:
 
 def _emit(value, write, newline: str) -> None:
     """Write ``value``, whose lines after the first open with ``newline``."""
-    kind = type(value)  # the common types first, by exact type
-    if kind is dict:
-        _emit_dict(value, write, newline)
-    elif kind is list:
-        _emit_list(value, write, newline)
-    elif kind is str:
-        write(encode_basestring_ascii(value))
-    elif kind is int:
-        write(int.__repr__(value))
-    elif kind is IntRuns:
-        _emit_list(list(value), write, newline)  # expanded only while it is written
-    elif isinstance(value, str):
+    if isinstance(value, str):
         write(encode_basestring_ascii(value))
     elif value is None:
         write("null")
@@ -158,47 +134,34 @@ def _emit(value, write, newline: str) -> None:
     elif isinstance(value, int):
         write(int.__repr__(value))
     elif isinstance(value, list):
-        _emit_list(value, write, newline)
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # the bulk of a report: step pairings
+            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        separator = "["
+        for item in value:
+            write(separator + inner)
+            _emit(item, write, inner)
+            separator = ","
+        write(newline + "]")
     elif isinstance(value, dict):
-        _emit_dict(value, write, newline)
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{"
+        for key in sorted(value):  # a key that is no str fails to sort or to encode
+            write(separator + inner + encode_basestring_ascii(key) + ": ")
+            _emit(value[key], write, inner)
+            separator = ","
+        write(newline + "}")
+    elif type(value) is IntRuns:
+        _emit(list(value), write, newline)  # expanded only while it is written
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit_list(value, write, newline: str) -> None:
-    if not value:
-        write("[]")
-        return
-    inner = newline + "  "
-    if set(map(type, value)) == {int}:  # the bulk of a report: step pairings
-        write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-        return
-    separator = "["
-    for item in value:
-        write(separator + inner)
-        _emit(item, write, inner)
-        separator = ","
-    write(newline + "]")
-
-
-def _emit_dict(value, write, newline: str) -> None:
-    if not value:
-        write("{}")
-        return
-    inner = newline + "  "
-    separator = "{"
-    for key in sorted(value):  # a key that is no str fails to sort or to encode
-        item = value[key]
-        head = separator + inner + encode_basestring_ascii(key) + ": "
-        if type(item) is str:  # the common scalars in one write
-            write(head + encode_basestring_ascii(item))
-        elif type(item) is int:
-            write(head + int.__repr__(item))
-        else:
-            write(head)
-            _emit(item, write, inner)
-        separator = ","
-    write(newline + "}")
 
 
 def _object(**props) -> dict:
