@@ -5,8 +5,11 @@ Subcommands: ``verify`` (one n), ``sweep`` (an odd range), ``oracle``
 Exit codes: 0 on full success, 1 on usage errors (an ``--out`` path that
 cannot be written included), 2 on any failed instance, oracle failure or
 schema violation, 3 on an internal error (any other exception, reported
-in one line).  All numbers print in full; JSON output is
-byte-deterministic for identical inputs.
+in one line).  A stdout that cannot be written, such as a closed pipe, is
+a usage error too.  All numbers print in full; JSON output is
+byte-deterministic for identical inputs.  ``sweep`` writes each n's report
+before it verifies the next n, so a failure at one n comes after the
+reports of the n before it are out.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import contextlib
 import os
 import stat
 import sys
+import time
 
 from . import __version__
 from .constructions import build_tower, check_odd_n
@@ -33,13 +37,11 @@ from .pipeline import (
     FAILED,
     VerificationReport,
     render_report_text,
-    render_sweep_text,
     report_to_dict,
-    sweep_to_dict,
     verify,
     verify_instance,
 )
-from .schema import document, schema_check_enabled, validate_document, write_json
+from .schema import OneShotList, document, schema_check_enabled, validate_document, write_json
 
 
 class _UsageError(Exception):
@@ -158,47 +160,69 @@ def _check_out(path: str) -> None:
         os.remove(path)
 
 
-def _write(args, to_document, to_text) -> int:
-    """Build the report in ``args.format`` and write it to ``args.out`` or
-    stdout; 2 when the schema self-check is on and rejects it, else 0.
+def _checked(doc: dict, sweep_index: int | None = None) -> dict:
+    """``doc``, once the schema self-check (when it is on) accepts it; see
+    :func:`~dlv.schema.validate_document` for ``sweep_index``."""
+    if schema_check_enabled():
+        validate_document(doc, sweep_index)
+    return doc
 
-    A JSON document is checked whole before its first byte is streamed.  A
-    write that fails part way removes the ``--out`` file it began when that
-    is a regular file."""
-    if args.format == "json":
-        doc = to_document()
-        if schema_check_enabled():
-            try:
-                validate_document(doc)
-            except SchemaViolation as exc:
-                print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
-                return 2
-        emit = lambda fh: write_json(doc, fh)
-    else:
-        text = to_text()
-        emit = lambda fh: fh.write(text)
-    if not args.out:
-        emit(sys.stdout)
-        return 0
+
+def _write(args, to_document, to_text) -> int:
+    """Write the report in ``args.format`` to ``args.out`` or stdout; 2 when
+    the schema self-check rejects it, else 0.
+
+    ``to_document`` returns the JSON document, checked as it is built (by
+    :func:`_checked`); ``to_text`` returns the pieces of the text.  Either
+    may be produced only while it is written, as a sweep's is.  A write
+    that fails part way removes the ``--out`` file it began when that is a
+    regular file."""
     try:
-        fh = open(args.out, "w", encoding="utf-8")
+        if args.format == "json":
+            doc = to_document()
+            emit = lambda fh: write_json(doc, fh)
+        else:
+            pieces = to_text()
+            emit = lambda fh: fh.writelines(pieces)
+        if args.out:
+            _write_file(args.out, emit)
+        else:
+            _write_stdout(emit)
+    except SchemaViolation as exc:
+        print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _write_stdout(emit) -> None:
+    try:
+        emit(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, say: the reader is gone
+        with contextlib.suppress(OSError):  # so the flush at exit goes nowhere, quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _cannot_write("stdout", exc) from None
+
+
+def _write_file(path: str, emit) -> None:
+    try:
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise _cannot_write(args.out, exc) from None
+        raise _cannot_write(path, exc) from None
     try:
         with fh:
             emit(fh)
     except BaseException as exc:
         with contextlib.suppress(OSError):  # never a device such as /dev/null, nor a link
-            if stat.S_ISREG(os.lstat(args.out).st_mode):
-                os.remove(args.out)
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
         if isinstance(exc, OSError):
-            raise _cannot_write(args.out, exc) from None
+            raise _cannot_write(path, exc) from None
         raise
-    return 0
 
 
-def _report_exit_code(reports) -> int:
-    return 2 if any(r.status == FAILED for report in reports for r in report.instances) else 0
+def _report_exit_code(report) -> int:
+    return 2 if any(r.status == FAILED for r in report.instances) else 0
 
 
 def _cmd_verify(args) -> int:
@@ -213,25 +237,47 @@ def _cmd_verify(args) -> int:
     else:
         report = verify(args.n, m_max=args.m_max)
     return _write(
-        args, lambda: report_to_dict(report), lambda: render_report_text(report)
-    ) or _report_exit_code([report])
+        args,
+        lambda: _checked(report_to_dict(report)),
+        lambda: [render_report_text(report)],
+    ) or _report_exit_code(report)
 
 
 def _cmd_sweep(args) -> int:
     ns = _parse_odd_range(args.n_range)
-    reports = []
-    for i, n in enumerate(ns, start=1):
-        print(f"[{i}/{len(ns)}] n={n}", file=sys.stderr)
-        report = verify(n)
-        reports.append(report)
-        if _report_exit_code([report]):
-            # a Failed instance means an internal contradiction (exit 2): emit
-            # what was collected and abort the rest of the sweep
-            print(f"dlv: n={n} failed internal checks; aborting sweep", file=sys.stderr)
-            break
+    code = 0
+
+    def parts(to_part):
+        """``to_part(report, k)`` for the k-th n, in turn.  Each n is
+        verified only once the part of the n before it is written, and no
+        report outlives its part."""
+        nonlocal code
+        for k, n in enumerate(ns):
+            print(f"[{k + 1}/{len(ns)}] n={n} ", end="", file=sys.stderr, flush=True)
+            start = time.perf_counter()
+            try:
+                report = verify(n)
+                code = _report_exit_code(report)
+                part = to_part(report, k)
+                del report
+            finally:  # the time it took, or took to fail
+                print(f"({time.perf_counter() - start:.2f} s)", file=sys.stderr)
+            yield part
+            del part
+            if code:
+                # a Failed instance means an internal contradiction (exit 2):
+                # keep what was written and abort the rest of the sweep
+                print(f"dlv: n={n} failed internal checks; aborting sweep", file=sys.stderr)
+                return
+
     return _write(
-        args, lambda: sweep_to_dict(reports), lambda: render_sweep_text(reports)
-    ) or _report_exit_code(reports)
+        args,
+        lambda: document(
+            "sweep-report",
+            reports=OneShotList(parts(lambda report, k: _checked(report_to_dict(report), k))),
+        ),
+        lambda: parts(lambda report, k: ("\n" if k else "") + render_report_text(report)),
+    ) or code
 
 
 def _cmd_oracle(args) -> int:
@@ -256,13 +302,15 @@ def _cmd_oracle(args) -> int:
             lines.append(f"suite {s.suite}: {s.trials} trials, {state} (seed {s.seed})")
             lines.extend(f"  {f}" for f in s.failures)
         lines.append(f"total failures: {failures_total}")
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
 
     def to_document():
-        return document(
-            "oracle-run",
-            reports=[oracle_report_to_dict(s) for s in suites],
-            failures_total=failures_total,
+        return _checked(
+            document(
+                "oracle-run",
+                reports=[oracle_report_to_dict(s) for s in suites],
+                failures_total=failures_total,
+            )
         )
 
     return _write(args, to_document, to_text) or (2 if failures_total else 0)
@@ -282,10 +330,10 @@ def _cmd_pair(args) -> int:
         kind, rendered = "class", format_class(tower.model_of(result), result)
     return _write(
         args,
-        lambda: document(
-            "pair-result", n=args.n, expr=args.expr, kind=kind, value=rendered
+        lambda: _checked(
+            document("pair-result", n=args.n, expr=args.expr, kind=kind, value=rendered)
         ),
-        lambda: f"{rendered}\n",
+        lambda: [f"{rendered}\n"],
     )
 
 

@@ -6,12 +6,13 @@ kind), ``schema_version`` and ``tool_version``, built only by
 the bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, streamed
 piece by piece to a file.  :func:`canonical_json` is the same bytes as a
 string.  A document may hold an :class:`IntRuns` where it holds a list of
-ints; the encoder writes it as that list, so ``json.dumps`` of a document
-needs ``default=list``.
+ints, and a :class:`OneShotList` where it holds a list; the encoder writes
+each as that list, so ``json.dumps`` of a document needs ``default=list``.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
-its own JSON output against it before writing it.
+its own JSON output against it before writing it: a whole document before
+its first byte, a streamed ``sweep-report`` one report at a time.
 
 :func:`validate_document` is a small checker of JSON Schema draft 2020-12
 that interprets exactly the keywords ``REPORT_SCHEMA`` uses: ``type``
@@ -58,10 +59,11 @@ def write_json(obj, fh) -> None:
 
     Only the types a document holds are written: a ``dict`` with ``str``
     keys (in sorted order), a ``list``, an :class:`IntRuns` (as the list of
-    its ints), a ``str``, an ``int`` and ``True``, ``False`` and ``None``.
-    Anything else (a float, a tuple, a set, a non-``str`` key, a subclass of
-    :class:`IntRuns`) raises ``TypeError``, possibly after earlier pieces
-    went out."""
+    its ints), a :class:`OneShotList` (as the list of its items), a
+    ``str``, an ``int`` and ``True``, ``False`` and ``None``.  Anything else
+    (a float, a tuple, a set, a non-``str`` key, a subclass of
+    :class:`IntRuns` or :class:`OneShotList`) raises ``TypeError``, possibly
+    after earlier pieces went out."""
     _emit(obj, fh.write, "\n")
     fh.write("\n")
 
@@ -121,6 +123,26 @@ def _expand_run(run) -> list[int]:
     return block
 
 
+class OneShotList:
+    """A list that is written once, by :func:`write_json`, which takes each
+    item from ``items`` only when it is its turn to be written and drops it
+    once written.  A ``sweep-report`` streams its reports so: each n is
+    verified only after the report before it is written and freed.
+    Iterating it a second time raises ``RuntimeError``.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items):
+        self._items = items
+
+    def __iter__(self):
+        items, self._items = self._items, None
+        if items is None:
+            raise RuntimeError("a OneShotList is iterated only once")
+        return iter(items)
+
+
 def _emit(value, write, newline: str) -> None:
     """Write ``value``, whose lines after the first open with ``newline``."""
     if isinstance(value, str):
@@ -134,19 +156,11 @@ def _emit(value, write, newline: str) -> None:
     elif isinstance(value, int):
         write(int.__repr__(value))
     elif isinstance(value, list):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, value)) == {int}:  # the bulk of a report: step pairings
+        if value and set(map(type, value)) == {int}:  # the bulk of a report: step pairings
+            inner = newline + "  "
             write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            return
-        separator = "["
-        for item in value:
-            write(separator + inner)
-            _emit(item, write, inner)
-            separator = ","
-        write(newline + "]")
+        else:
+            _emit_items(value, write, newline)
     elif isinstance(value, dict):
         if not value:
             write("{}")
@@ -160,8 +174,23 @@ def _emit(value, write, newline: str) -> None:
         write(newline + "}")
     elif type(value) is IntRuns:
         _emit(list(value), write, newline)  # expanded only while it is written
+    elif type(value) is OneShotList:
+        _emit_items(value, write, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_items(items, write, newline: str) -> None:
+    """Write the list of ``items``, taking each only once the one before it
+    is written and no longer referenced here."""
+    inner = newline + "  "
+    separator = "["
+    for item in items:
+        write(separator + inner)
+        _emit(item, write, inner)
+        separator = ","
+        del item
+    write("[]" if separator == "[" else newline + "]")
 
 
 def _object(**props) -> dict:
@@ -246,10 +275,17 @@ def schema_check_enabled() -> bool:
     return os.environ.get("DLV_SCHEMA_CHECK") == "1"
 
 
-def validate_document(document: dict) -> None:
+def validate_document(document: dict, sweep_index: int | None = None) -> None:
     """Raise :class:`SchemaViolation` when the document does not match
-    ``REPORT_SCHEMA``."""
-    _check(document, REPORT_SCHEMA, ())
+    ``REPORT_SCHEMA``.
+
+    With ``sweep_index`` k, ``document`` is one report of a streamed
+    ``sweep-report``: it is checked as item k of its ``reports``, and a
+    message names the path ``$.reports[k]...`` as for the whole sweep."""
+    if sweep_index is None:
+        _check(document, REPORT_SCHEMA, ())
+    else:
+        _check(document, _VERIFICATION_REPORT, ("reports", sweep_index))
 
 
 # As in jsonschema: a bool is no integer, but an integral float is one.

@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -142,7 +148,8 @@ def test_sweep_text_counter_on_stderr(capsys):
 def test_sweep_json_counter_on_stderr(capsys):
     code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--format", "json")
     assert code == 0
-    assert err == "[1/2] n=3\n[2/2] n=5\n"
+    # the counter, then the time that n took
+    assert re.fullmatch(r"\[1/2\] n=3 \(\d+\.\d\d s\)\n\[2/2\] n=5 \(\d+\.\d\d s\)\n", err)
     assert [r["n"] for r in json.loads(out)["reports"]] == [3, 5]
 
 
@@ -173,6 +180,26 @@ def test_sweep_json_digest_is_pinned(tmp_path):
     ]:
         assert main(["sweep", "--n-range", n_range, "--format", "json", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, n_range
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_streamed_sweep_is_the_whole_sweep(capsys, fmt):
+    from dlv.pipeline import render_sweep_text, sweep_to_dict, verify
+
+    code, out, err = run(capsys, "sweep", "--n-range", "3..7", "--format", fmt)
+    assert code == 0
+    reports = [verify(n) for n in (3, 5, 7)]
+    whole = canonical_json(sweep_to_dict(reports)) if fmt == "json" else render_sweep_text(reports)
+    assert out == whole
+
+
+def test_sweep_text_digest_is_pinned(tmp_path):
+    out = tmp_path / "sweep.txt"
+    assert main(["sweep", "--n-range", "3..9", "--out", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "f001117afacfdd3a32b6c659597e9bc5fb33510dee89c29a5cf6b3682aaaf89e"
+    )
 
 
 @pytest.mark.parametrize(
@@ -608,3 +635,170 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert err == "dlv: internal error: RuntimeError: boom\n"
     assert out == ""
+
+
+def _verify_failing_at(monkeypatch, bad_n, error):
+    """Make ``verify(bad_n)`` raise ``error`` and record every n verified."""
+    import dlv.cli as cli_mod
+
+    real, seen = cli_mod.verify, []
+
+    def verify(n, m_max=None):
+        seen.append(n)
+        if n == bad_n:
+            raise error
+        return real(n, m_max=m_max)
+
+    monkeypatch.setattr(cli_mod, "verify", verify)
+    return seen
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_internal_error_mid_sweep_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt):
+    # the reports of n = 3 and 5 are written before n = 7 fails
+    seen = _verify_failing_at(monkeypatch, 7, RuntimeError("boom"))
+    target = tmp_path / "sweep"
+    code, out, err = run(capsys, "sweep", "--n-range", "3..11", "--format", fmt, "--out", str(target))
+    assert code == 3
+    assert err.splitlines()[-1] == "dlv: internal error: RuntimeError: boom"
+    assert seen == [3, 5, 7]
+    assert out == ""
+    assert not target.exists()
+
+
+def test_internal_error_mid_sweep_leaves_stdout_partial(capsys, monkeypatch):
+    _verify_failing_at(monkeypatch, 7, RuntimeError("boom"))
+    code, out, err = run(capsys, "sweep", "--n-range", "3..11")
+    assert code == 3
+    assert "n=3" in out and "n=5" in out and "n=7" not in out
+
+
+def _tamper_sweep_report(monkeypatch, bad_n):
+    import dlv.cli as cli_mod
+
+    real = cli_mod.report_to_dict
+
+    def tampered(report):
+        doc = real(report)
+        if report.n == bad_n:
+            doc["instances"][1]["status"] = "Maybe"
+        return doc
+
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr(cli_mod, "report_to_dict", tampered)
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_schema_violation_mid_sweep_leaves_no_out_file(tmp_path, capsys, monkeypatch, existed):
+    _tamper_sweep_report(monkeypatch, 7)
+    seen = _verify_failing_at(monkeypatch, 9, AssertionError("n=9 ran after a violation"))
+    target = tmp_path / "sweep.json"
+    if existed:
+        target.write_bytes(b"earlier report\n")
+    code, out, err = run(
+        capsys, "sweep", "--n-range", "3..9", "--format", "json", "--out", str(target)
+    )
+    assert code == 2
+    assert err.splitlines()[-1].startswith(
+        "dlv: schema self-validation failed: $.reports[2].instances[1].status: "
+    )
+    assert seen == [3, 5, 7]
+    assert not target.exists()
+
+
+def test_schema_violation_mid_sweep_names_the_path_of_the_whole_check(capsys, monkeypatch):
+    # the streamed check and the whole-document check name the same path
+    from dlv.errors import SchemaViolation
+    from dlv.pipeline import sweep_to_dict, verify
+    from dlv.schema import validate_document
+
+    doc = sweep_to_dict([verify(n) for n in (3, 5, 7)])
+    doc["reports"][2]["instances"][1]["status"] = "Maybe"
+    with pytest.raises(SchemaViolation) as whole:
+        validate_document(doc)
+    _tamper_sweep_report(monkeypatch, 7)
+    code, out, err = run(capsys, "sweep", "--n-range", "3..7", "--format", "json")
+    assert code == 2
+    assert err.splitlines()[-1] == f"dlv: schema self-validation failed: {whole.value}"
+    # stdout stays partial: the reports of n = 3 and 5 are out, and nothing after them
+    whole_of_two = canonical_json(sweep_to_dict([verify(3), verify(5)]))
+    assert out == whole_of_two[: whole_of_two.index('\n  ],\n  "schema"')]
+
+
+class _TrackedDict(dict):
+    """A dict that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fmt):
+    import dataclasses
+
+    import dlv.cli as cli_mod
+    from dlv.pipeline import VerificationReport
+
+    class TrackedReport(VerificationReport):
+        __slots__ = ("__weakref__",)
+
+    real_verify, real_to_dict = cli_mod.verify, cli_mod.report_to_dict
+    alive, kept = [], []  # weak references; the n whose verify found one alive
+
+    def verify(n, m_max=None):
+        if any(ref() is not None for ref in alive):
+            kept.append(n)
+        report = real_verify(n, m_max=m_max)
+        report = TrackedReport(*(getattr(report, f.name) for f in dataclasses.fields(report)))
+        alive.append(weakref.ref(report))
+        return report
+
+    def report_to_dict(report):
+        doc = _TrackedDict(real_to_dict(report))
+        alive.append(weakref.ref(doc))
+        return doc
+
+    monkeypatch.setattr(cli_mod, "verify", verify)
+    monkeypatch.setattr(cli_mod, "report_to_dict", report_to_dict)
+    code, out, err = run(capsys, "sweep", "--n-range", "3..9", "--format", fmt)
+    assert code == 0
+    assert len(alive) == (8 if fmt == "json" else 4)
+    assert kept == []
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_follows_its_largest_n(tmp_path, capsys):
+    # a sweep that kept every report until the end peaked at about 4.5 times
+    # the peak of its largest n alone
+    out = str(tmp_path / "report.json")
+    one = _traced_peak(["verify", "--n", "31", "--format", "json", "--out", out])
+    sweep = _traced_peak(["sweep", "--n-range", "3..31", "--format", "json", "--out", out])
+    assert sweep < 2 * one, (sweep, one)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--n", "31", "--format", "json"), ("sweep", "--n-range", "3..31", "--format", "json")],
+    ids=["verify", "sweep"],
+)
+def test_closed_stdout_pipe_is_a_usage_error(argv):
+    # it used to end as "dlv: internal error: BrokenPipeError: ..." (exit 3)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from dlv.cli import console_main; console_main()", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10).startswith(b"{")
+    child.stdout.close()  # as `| head -c 10` does
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err.splitlines()[-1] == "dlv: error: cannot write stdout: Broken pipe"
+    assert "Exception ignored" not in err and "Traceback" not in err

@@ -275,3 +275,50 @@ def test_pairing_is_bilinear(data, a, b):
 def test_self_int_equals_pair(data):
     model, (d,) = data
     assert model.self_int(d) == model.pair(d, d)
+
+
+def _public_paths():
+    """Every public way to bring a value into exact arithmetic, each with
+    the error it raises on a value that is not exactly an int."""
+    from dlv.constructions import PointSpec, build_tower, model_from_dict, strict_transform
+
+    model = build_abelian_product(3)
+    f = model.basis_class("F")
+    tower = build_tower(3)
+    base_f = tower.classes["F"]
+    return [
+        ("class", InvalidModel, lambda bad: DivisorClass(model.model_id, (1, bad, 0))),
+        ("divisor_class", InvalidModel, lambda bad: model.divisor_class((1, bad, 0))),
+        ("gram", InvalidModel, lambda bad: SurfaceModel("x", ("a", "b"), ((0, bad), (bad, 0)))),
+        ("scale-left", TypeError, lambda bad: bad * f),
+        ("scale-right", TypeError, lambda bad: f * bad),
+        (
+            "strict-transform",
+            InvalidParameter,
+            lambda bad: strict_transform(tower.base_blowup_map, base_f, (bad, 0, 0)),
+        ),
+        ("point", InvalidParameter, lambda bad: PointSpec("p", {"F": bad})),
+        ("exact-int", InvalidParameter, lambda bad: exact_int(bad, "m")),
+        (
+            "model-file",
+            InvalidModel,
+            lambda bad: model_from_dict(
+                {
+                    "schema": "surface-model",
+                    "model_id": "x",
+                    "basis": ["a"],
+                    "gram": [[bad]],
+                    "curves": [],
+                    "kind": "other",
+                }
+            ),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", _Int(1)], ids=["float", "bool", "str", "int-subclass"])
+def test_every_public_path_rejects_a_value_that_is_not_an_int(bad):
+    for name, error, build in _public_paths():
+        with pytest.raises(error):
+            build(bad)
+            pytest.fail(f"{name} took {bad!r}")
