@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import marshal
 import os
 import random
 from dataclasses import dataclass, replace
@@ -248,55 +247,25 @@ def _bilinearity_trials(
     return failures
 
 
-def _fork_share(seed: int, start: int, stop: int):
-    """Run trials ``start`` .. ``stop - 1`` in a forked child.
+def _fork_share(seed: int, start: int, stop: int) -> int:
+    """Run trials ``start`` .. ``stop - 1`` in a forked child; return its pid.
 
-    Returns the child's pid and the read end of a pipe that carries its
-    marshalled outcome: ``(True, failures)``, or ``(False, exception)``
-    with the exception pickled (the child is this program, so trusted).
-    The child leaves through ``os._exit`` whatever happens, so it never
-    returns into the caller's stack, and it stops between two trials once
-    this process is gone.
+    The child exits 0 only when those trials found no failure, and 1
+    otherwise: on a failed trial, on an exception, or once this process is
+    gone (it checks between two trials).  A share is a pure function of
+    ``(seed, start, stop)``, so a status that is not 0 only says to run the
+    share again in the caller.  The child leaves through ``os._exit``
+    whatever happens, so it never returns into the caller's stack.
     """
     parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    pid = os.fork()
     if pid == 0:
-        status = 1
+        clean = False
         try:
-            os.close(read_fd)
-            try:
-                outcome = (True, _bilinearity_trials(seed, start, stop, parent))
-            except BaseException as exc:
-                import pickle  # only here: importing it costs every run 0.3 MB
-
-                outcome = (False, pickle.dumps(exc))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(outcome))
-            status = 0
+            clean = not _bilinearity_trials(seed, start, stop, parent)
         finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _share_failures(status: int, payload: bytes) -> list[str]:
-    """The failures a reaped child sent, or its exception raised here."""
-    if status:
-        raise ChildProcessError(
-            f"a bilinearity share ended without a result (wait status {status})"
-        )
-    ok, value = marshal.loads(payload)
-    if not ok:
-        import pickle
-
-        raise pickle.loads(value)
-    return value
+            os._exit(0 if clean else 1)
+    return pid
 
 
 def bilinearity_suite(trials: int = 10_000, seed: int = 0) -> OracleReport:
@@ -307,31 +276,32 @@ def bilinearity_suite(trials: int = 10_000, seed: int = 0) -> OracleReport:
     results are order-independent and reproducible.  The trials are split
     into one contiguous share per usable CPU, never more shares than
     trials: this process runs the first share and a forked child each
-    other one.  Failures are joined in trial order, so the report does not
-    depend on the split.  Where shares raise, the first one's exception is
-    re-raised, and every child is ended and reaped before anything leaves.
+    other one.  The children are reaped in share order, and a share whose
+    child did not exit clean (a failed trial, an exception, or a child
+    that died) is run again here, so its failures join in trial order and
+    its exception is raised with its own type: the report does not depend
+    on the split, the first raising share's exception wins, and every
+    child is ended and reaped before anything leaves.  A failing share
+    costs its trials twice, at worst the one-share time.
     """
     exact_int(trials, "trials", 0)
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
     shares = max(1, min(len(affinity(0)) if affinity else 1, trials))
     bounds = [trials * k // shares for k in range(shares + 1)]
-    children = []  # (pid, pipe) of every child not yet reaped, in share order
+    children = []  # pid of every child not yet reaped, in share order
     try:
         for k in range(1, shares):
             children.append(_fork_share(seed, bounds[k], bounds[k + 1]))
         failures = _bilinearity_trials(seed, 0, bounds[1])
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+        for k in range(1, shares):
+            status = os.waitpid(children[0], 0)[1]
             del children[0]
-            failures += _share_failures(status, payload)
+            if status:
+                failures += _bilinearity_trials(seed, bounds[k], bounds[k + 1])
     finally:
-        for pid, pipe in children:  # only when leaving early
+        for pid in children:  # only when leaving early
             import signal  # only here: importing it costs every run 0.15 MB
 
-            pipe.close()
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

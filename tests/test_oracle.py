@@ -24,6 +24,7 @@ from dlv import (
     oracle_report_to_dict,
 )
 from dlv import oracle
+from dlv.expr import ExprError
 from dlv.schema import validate_document
 
 
@@ -204,7 +205,8 @@ def test_the_first_share_to_raise_is_re_raised(monkeypatch, cpus, k, raising, fi
         bilinearity_suite(trials=60, seed=3)
 
 
-def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch, cpus):
+def test_the_share_of_a_child_that_dies_is_run_here(monkeypatch, cpus):
+    # such a child (OOM killer, SIGKILL) used to end the run in ChildProcessError
     parent, original = os.getpid(), oracle._random_model
 
     def model_or_exit(rng, tag):
@@ -213,8 +215,24 @@ def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch, cpus):
         return original(rng, tag)
 
     monkeypatch.setattr(oracle, "_random_model", model_or_exit)
+    cpus(1)
+    reference = bilinearity_suite(trials=60, seed=3)
     cpus(2)
-    with pytest.raises(ChildProcessError, match="ended without a result"):
+    assert bilinearity_suite(trials=60, seed=3) == reference
+
+
+def test_a_share_raises_its_exception_with_its_own_type(monkeypatch, cpus):
+    # ExprError takes a position, so it did not survive a pickle round trip
+    original = oracle._random_model
+
+    def model_or_raise(rng, tag):
+        if tag == "3:59":
+            raise ExprError("broken trial", 3)
+        return original(rng, tag)
+
+    monkeypatch.setattr(oracle, "_random_model", model_or_raise)
+    cpus(2)
+    with pytest.raises(ExprError, match=r"^broken trial \(at offset 3\)$"):
         bilinearity_suite(trials=60, seed=3)
 
 
@@ -256,7 +274,7 @@ def test_a_share_whose_parent_is_gone_stops():
     read_fd, write_fd = os.pipe()
     code = (
         "import time; from dlv.oracle import _fork_share; "
-        "pid, _ = _fork_share(1, 0, 10**9); print(pid, flush=True); time.sleep(60)"
+        "pid = _fork_share(1, 0, 10**9); print(pid, flush=True); time.sleep(60)"
     )
     parent = subprocess.Popen(
         [sys.executable, "-c", code],
