@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_odd_range(text: str) -> list[int]:
     usage = _UsageError(
-        f"--n-range expects A..B with odd integers 3 <= A <= B, got {text!r}"
+        f"dlv: error: --n-range expects A..B with odd integers 3 <= A <= B, got {text!r}"
     )
     try:
         lo, hi = (check_odd_n(int(bound)) for bound in text.split(".."))

@@ -38,7 +38,7 @@ class UnknownIdentifier(ExprError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*'*)|([+\-*.()]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*'*)|([+\-*.()]))")
 
 # Python refuses int() on strings longer than its int<->str digit limit
 # (4300 by default); a literal is converted in parts no longer than this.

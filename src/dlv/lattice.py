@@ -113,6 +113,11 @@ class RegisteredCurve:
                     f"{name!r} of a registered curve must be a string, "
                     f"got {type(value).__name__}"
                 )
+        if not isinstance(self.cls, DivisorClass):
+            raise InvalidModel(
+                "'cls' of a registered curve must be a DivisorClass, "
+                f"got {type(self.cls).__name__}"
+            )
 
 
 @dataclass(frozen=True)

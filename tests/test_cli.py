@@ -159,6 +159,15 @@ def test_sweep_bad_range(capsys):
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "oracle"])
+def test_a_bad_range_is_reported_like_every_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--n-range", "3..1")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "dlv: error: --n-range expects A..B with odd integers 3 <= A <= B, got '3..1'"
+    )
+
+
 def test_sweep_json_deterministic(tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -331,6 +340,17 @@ def test_oracle_bad_numbers_fail_before_any_suite(capsys, monkeypatch, flag, val
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == f"dlv: error: {message}"
+
+
+def test_oracle_bound_below_the_forced_counts_is_clean(capsys):
+    # --bound 3 used to report FAILURES: the grid cannot hold {F': 4, Gamma_n': 4}
+    code, out, err = run(
+        capsys, "oracle", "--n-range", "3..3", "--trials", "0", "--m-max", "0",
+        "--bound", "3", "--format", "json",
+    )
+    assert code == 0
+    reports = {r["suite"]: r for r in json.loads(out)["reports"]}
+    assert reports["enumeration"]["failures"] == []
 
 
 def test_oracle_empty_suites_are_valid(capsys):

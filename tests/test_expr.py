@@ -84,6 +84,14 @@ def test_bad_character():
     assert excinfo.value.position == 2
 
 
+@pytest.mark.parametrize("text", ["\u0663*A", "\uff11+1"], ids=["arabic-indic", "fullwidth"])
+def test_only_ascii_digits_are_literals(text):
+    # \\d matched any Unicode digit, so "\u0663*A" read as 3*A
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        evaluate(3, text)
+    assert excinfo.value.position == 0
+
+
 def test_class_times_class_rejected():
     with pytest.raises(ExprSyntaxError):
         evaluate(3, "A*A")

@@ -146,8 +146,9 @@ def test_large_entries_survive_round_trip():
         (lambda: SurfaceModel("x", ("a",), ((0,),), provenance=(5,)), "provenance"),
         (lambda: RegisteredCurve(5, DivisorClass("x", (1,))), "label"),
         (lambda: RegisteredCurve("c", DivisorClass("x", (1,)), None), "note"),
+        (lambda: RegisteredCurve("c", ("x", (1,))), "cls"),
     ],
-    ids=["model_id", "provenance", "label", "note"],
+    ids=["model_id", "provenance", "label", "note", "cls"],
 )
 def test_the_constructor_rejects_what_the_loader_rejects(build, key):
     # each of these used to build, and save_model wrote a file that

@@ -66,6 +66,21 @@ def test_enumeration_check_suite():
     assert report.trials == 4
 
 
+def test_enumeration_check_accepts_a_bound_below_the_forced_counts():
+    # m = 4 forces {F': 4, Gamma_n': 4}, which a grid bounded by 3 cannot hold
+    assert enumeration_check(coeff_bound=3).ok
+
+
+@pytest.mark.parametrize(
+    "found, bound, failed",
+    [([{"F'": 1}], 3, 4), ([{"F'": 1}], 10, 4), ([], 3, 3), ([], 10, 4)],
+)
+def test_enumeration_check_rejects_a_wrong_search(monkeypatch, found, bound, failed):
+    # only m = 4 may find nothing at bound 3
+    monkeypatch.setattr(oracle, "enumerate_decompositions", lambda *args: found)
+    assert len(enumeration_check(coeff_bound=bound).failures) == failed
+
+
 def test_identity_suite_small_range():
     report = identity_suite([3, 5, 7], m_max_per_n=10)
     assert report.ok
