@@ -70,7 +70,6 @@ from .pipeline import (
     canonical_json,
     m_threshold,
     render_report_text,
-    render_sweep_text,
     report_to_dict,
     sweep_to_dict,
     verify,

@@ -6,7 +6,8 @@ Exit codes: 0 on full success, 1 on usage errors (an ``--out`` path that
 cannot be written included), 2 on any failed instance, oracle failure or
 schema violation, 3 on an internal error (any other exception, reported
 in one line).  A stdout that cannot be written, such as a closed pipe, is
-a usage error too.  All numbers print in full; JSON output is
+a usage error too.  Each command builds one document, which is written
+as JSON or rendered as text.  All numbers print in full; output is
 byte-deterministic for identical inputs.  ``sweep`` writes each n's report
 before it verifies the next n, so a failure at one n comes after the
 reports of the n before it are out.
@@ -28,6 +29,7 @@ from .expr import ExprError, parse_expr
 from .lattice import exact_int, format_class
 from .oracle import (
     bilinearity_suite,
+    check_grid,
     enumeration_check,
     forcing_order_check,
     identity_suite,
@@ -168,30 +170,42 @@ def _checked(doc: dict, sweep_index: int | None = None) -> dict:
     return doc
 
 
-def _write(args, to_document, to_text) -> int:
-    """Write the report in ``args.format`` to ``args.out`` or stdout; 2 when
-    the schema self-check rejects it, else 0.
+def _write(args, doc: dict) -> None:
+    """Write ``doc``, checked as it is built (by :func:`_checked`), to
+    ``args.out`` or stdout: as JSON, or as the text :func:`_text` renders
+    from it.  Its parts may be produced only while they are written, as a
+    sweep's are.  A write that fails part way removes the ``--out`` file it
+    began when that is a regular file."""
+    if args.format == "json":
+        emit = lambda fh: write_json(doc, fh)
+    else:
+        emit = lambda fh: fh.writelines(_text(doc))
+    if args.out is not None:
+        _write_file(args.out, emit)
+    else:
+        _write_stdout(emit)
 
-    ``to_document`` returns the JSON document, checked as it is built (by
-    :func:`_checked`); ``to_text`` returns the pieces of the text.  Either
-    may be produced only while it is written, as a sweep's is.  A write
-    that fails part way removes the ``--out`` file it began when that is a
-    regular file."""
-    try:
-        if args.format == "json":
-            doc = to_document()
-            emit = lambda fh: write_json(doc, fh)
-        else:
-            pieces = to_text()
-            emit = lambda fh: fh.writelines(pieces)
-        if args.out:
-            _write_file(args.out, emit)
-        else:
-            _write_stdout(emit)
-    except SchemaViolation as exc:
-        print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
-        return 2
-    return 0
+
+def _text(doc: dict):
+    """The pieces of the text of ``doc``, in turn; a ``sweep-report`` gives
+    one piece per report, taken from its list only when it is written."""
+    kind = doc["schema"]
+    if kind == "verification-report":
+        yield render_report_text(doc)
+    elif kind == "sweep-report":
+        separator = ""
+        for report in doc["reports"]:
+            yield separator + render_report_text(report)
+            del report  # before the next n is verified
+            separator = "\n"
+    elif kind == "oracle-run":
+        for s in doc["reports"]:
+            state = f"{len(s['failures'])} FAILURES" if s["failures"] else "ok"
+            yield f"suite {s['suite']}: {s['trials']} trials, {state} (seed {s['seed']})\n"
+            yield from (f"  {failure}\n" for failure in s["failures"])
+        yield f"total failures: {doc['failures_total']}\n"
+    else:  # a pair-result
+        yield f"{doc['value']}\n"
 
 
 def _write_stdout(emit) -> None:
@@ -236,21 +250,18 @@ def _cmd_verify(args) -> int:
         )
     else:
         report = verify(args.n, m_max=args.m_max)
-    return _write(
-        args,
-        lambda: _checked(report_to_dict(report)),
-        lambda: [render_report_text(report)],
-    ) or _report_exit_code(report)
+    _write(args, _checked(report_to_dict(report)))
+    return _report_exit_code(report)
 
 
 def _cmd_sweep(args) -> int:
     ns = _parse_odd_range(args.n_range)
     code = 0
 
-    def parts(to_part):
-        """``to_part(report, k)`` for the k-th n, in turn.  Each n is
-        verified only once the part of the n before it is written, and no
-        report outlives its part."""
+    def reports():
+        """The checked document of each n's report, in turn.  Each n is
+        verified only once the document of the n before it is written, and
+        no report outlives its document."""
         nonlocal code
         for k, n in enumerate(ns):
             print(f"[{k + 1}/{len(ns)}] n={n} ", end="", file=sys.stderr, flush=True)
@@ -258,26 +269,20 @@ def _cmd_sweep(args) -> int:
             try:
                 report = verify(n)
                 code = _report_exit_code(report)
-                part = to_part(report, k)
+                doc = _checked(report_to_dict(report), k)
                 del report
             finally:  # the time it took, or took to fail
                 print(f"({time.perf_counter() - start:.2f} s)", file=sys.stderr)
-            yield part
-            del part
+            yield doc
+            del doc
             if code:
                 # a Failed instance means an internal contradiction (exit 2):
                 # keep what was written and abort the rest of the sweep
                 print(f"dlv: n={n} failed internal checks; aborting sweep", file=sys.stderr)
                 return
 
-    return _write(
-        args,
-        lambda: document(
-            "sweep-report",
-            reports=OneShotList(parts(lambda report, k: _checked(report_to_dict(report), k))),
-        ),
-        lambda: parts(lambda report, k: ("\n" if k else "") + render_report_text(report)),
-    ) or code
+    _write(args, document("sweep-report", reports=OneShotList(reports())))
+    return code
 
 
 def _cmd_oracle(args) -> int:
@@ -285,8 +290,8 @@ def _cmd_oracle(args) -> int:
     # check every size before the first suite runs, with the suites' own names
     exact_int(args.m_max, "m_max_per_n", 0)
     exact_int(args.trials, "trials", 0)
-    exact_int(args.bound, "coeff_bound", 0)
     tower = build_tower(3)
+    check_grid(tower.base_blowup, args.bound)  # the grid of the enumeration check
     suites = [
         identity_suite(ns, m_max_per_n=args.m_max, seed=args.seed),
         bilinearity_suite(trials=args.trials, seed=args.seed),
@@ -295,25 +300,13 @@ def _cmd_oracle(args) -> int:
     ]
     failures_total = sum(len(s.failures) for s in suites)
 
-    def to_text():
-        lines = []
-        for s in suites:
-            state = "ok" if s.ok else f"{len(s.failures)} FAILURES"
-            lines.append(f"suite {s.suite}: {s.trials} trials, {state} (seed {s.seed})")
-            lines.extend(f"  {f}" for f in s.failures)
-        lines.append(f"total failures: {failures_total}")
-        return ["\n".join(lines) + "\n"]
-
-    def to_document():
-        return _checked(
-            document(
-                "oracle-run",
-                reports=[oracle_report_to_dict(s) for s in suites],
-                failures_total=failures_total,
-            )
-        )
-
-    return _write(args, to_document, to_text) or (2 if failures_total else 0)
+    doc = document(
+        "oracle-run",
+        reports=[oracle_report_to_dict(s) for s in suites],
+        failures_total=failures_total,
+    )
+    _write(args, _checked(doc))
+    return 2 if failures_total else 0
 
 
 def _cmd_pair(args) -> int:
@@ -328,13 +321,9 @@ def _cmd_pair(args) -> int:
         kind, rendered = "pairing", result
     else:
         kind, rendered = "class", format_class(tower.model_of(result), result)
-    return _write(
-        args,
-        lambda: _checked(
-            document("pair-result", n=args.n, expr=args.expr, kind=kind, value=rendered)
-        ),
-        lambda: [f"{rendered}\n"],
-    )
+    doc = document("pair-result", n=args.n, expr=args.expr, kind=kind, value=rendered)
+    _write(args, _checked(doc))
+    return 0
 
 
 def main(argv=None) -> int:
@@ -343,12 +332,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.run(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except SchemaViolation as exc:
+        print(f"dlv: schema self-validation failed: {exc}", file=sys.stderr)
+        return 2
     except ExprError as exc:
         print(f"dlv: expression error: {exc}", file=sys.stderr)
         return 1

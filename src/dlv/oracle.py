@@ -50,6 +50,16 @@ def oracle_report_to_dict(report: OracleReport) -> dict:
     )
 
 
+def check_grid(model: SurfaceModel, coeff_bound: int) -> None:
+    """Raise unless ``coeff_bound`` is an integer >= 0 whose grid over the
+    curves of ``model`` holds at most ``GRID_CAP`` points
+    (:class:`BoundTooLarge` when it holds more)."""
+    exact_int(coeff_bound, "coeff_bound", 0)
+    grid = (coeff_bound + 1) ** len(model.curves)
+    if grid > GRID_CAP:
+        raise BoundTooLarge(f"grid of {grid} points exceeds the cap of {GRID_CAP}")
+
+
 def enumerate_decompositions(
     model: SurfaceModel,
     target: DivisorClass,
@@ -59,15 +69,11 @@ def enumerate_decompositions(
     of registered curves, by exhaustive search over the grid.
 
     Each returned map sends curve labels to counts in 1..coeff_bound (zero
-    counts omitted).  Raises :class:`BoundTooLarge` when the grid would
-    exceed ``GRID_CAP`` points.
+    counts omitted).  Raises as :func:`check_grid` does first.
     """
     model._check_owned(target)
-    exact_int(coeff_bound, "coeff_bound", 0)
+    check_grid(model, coeff_bound)
     columns = [(c.label, c.cls.coeffs) for c in model.curves]
-    grid = (coeff_bound + 1) ** len(columns)
-    if grid > GRID_CAP:
-        raise BoundTooLarge(f"grid of {grid} points exceeds the cap of {GRID_CAP}")
     found = []
     size = model.size
     for counts in itertools.product(range(coeff_bound + 1), repeat=len(columns)):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import __version__
 from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
 from .errors import InvalidParameter, NotCertified
 from .lattice import DivisorClass, exact_int
@@ -308,26 +307,18 @@ def sweep_to_dict(reports) -> dict:
     return document("sweep-report", reports=[report_to_dict(r) for r in reports])
 
 
-def render_report_text(report: VerificationReport) -> str:
-    """Human-readable table carrying the same numbers as the JSON, then
+def render_report_text(doc: dict) -> str:
+    """Human-readable table of a ``verification-report`` document, then
     why each ``Failed`` instance failed: its internal-check details."""
+    instances = doc["instances"]
     header = (
-        f"verification report  n={report.n}  certified threshold m={m_threshold(report.n)}  "
-        f"(instances m={report.instances[0].m}..{report.instances[-1].m})  "
-        f"tool {__version__}"
+        f"verification report  n={doc['n']}  certified threshold m={m_threshold(doc['n'])}  "
+        f"(instances m={instances[0]['m']}..{instances[-1]['m']})  "
+        f"tool {doc['tool_version']}"
     )
+    keys = ("m", "a_n_squared", "d_n_squared", "certificate_value", "h0", "status")
     rows = [("m", "A^2", "D^2", "certificate", "h0", "status")]
-    for r in report.instances:
-        rows.append(
-            (
-                str(r.m),
-                str(r.a_n_squared),
-                str(r.d_n_squared),
-                str(r.certificate_value),
-                str(r.h0.value) if r.h0.is_known else "unknown",
-                r.status,
-            )
-        )
+    rows += [tuple(str(r[key]) for key in keys) for r in instances]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = [header]
     for row in rows:
@@ -338,13 +329,9 @@ def render_report_text(report: VerificationReport) -> str:
                 for i, cell in enumerate(row)
             ).rstrip()
         )
-    for r in report.instances:
-        for app in r.h0.certificate_chain:
-            if app.rule == "internal-check-failed":
-                lines.extend(f"  m={r.m} {FAILED}: {detail}" for detail in app.values["details"])
-    lines.append(f"summary: {report.summary}")
+    for r in instances:
+        for app in r["certificate_chain"]:
+            if app["rule"] == "internal-check-failed":
+                lines += (f"  m={r['m']} {FAILED}: {why}" for why in app["values"]["details"])
+    lines.append(f"summary: {doc['summary']}")
     return "\n".join(lines) + "\n"
-
-
-def render_sweep_text(reports) -> str:
-    return "\n".join(render_report_text(r) for r in reports)

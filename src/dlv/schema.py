@@ -11,8 +11,9 @@ each as that list, so ``json.dumps`` of a document needs ``default=list``.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
-its own JSON output against it before writing it: a whole document before
-its first byte, a streamed ``sweep-report`` one report at a time.
+its own documents against it before writing them, as JSON or as text: a
+whole document before its first byte, a streamed ``sweep-report`` one
+report at a time.
 
 :func:`validate_document` is a small checker of JSON Schema draft 2020-12
 that interprets exactly the keywords ``REPORT_SCHEMA`` uses: ``type``

@@ -193,12 +193,15 @@ def test_sweep_json_digest_is_pinned(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_streamed_sweep_is_the_whole_sweep(capsys, fmt):
-    from dlv.pipeline import render_sweep_text, sweep_to_dict, verify
+    from dlv.pipeline import render_report_text, report_to_dict, sweep_to_dict, verify
 
     code, out, err = run(capsys, "sweep", "--n-range", "3..7", "--format", fmt)
     assert code == 0
     reports = [verify(n) for n in (3, 5, 7)]
-    whole = canonical_json(sweep_to_dict(reports)) if fmt == "json" else render_sweep_text(reports)
+    if fmt == "json":
+        whole = canonical_json(sweep_to_dict(reports))
+    else:
+        whole = "\n".join(render_report_text(report_to_dict(r)) for r in reports)
     assert out == whole
 
 
@@ -209,6 +212,39 @@ def test_sweep_text_digest_is_pinned(tmp_path):
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "f001117afacfdd3a32b6c659597e9bc5fb33510dee89c29a5cf6b3682aaaf89e"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--n", "5"),
+            "91152ee3192be5ac99dbb46c7f5a7baa7705a369617e7c0883994066683435d7",
+        ),
+        (
+            ("verify", "--n", "5", "--m", "3"),
+            "7168781b033618e4b8ccdde0c67f522769cd17afef424f79adbf9d95852b8fa5",
+        ),
+        (
+            ("oracle", "--trials", "200", "--seed", "1"),
+            "cefb1096714cb772032c71894cf99496632749d6e42aea2f990fd2d9c8ce1d08",
+        ),
+        (
+            ("pair", "--n", "3", "--expr", "D.D"),
+            "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+        ),
+        (
+            ("pair", "--n", "3", "--expr", "L"),
+            "79dccadc82da104aaacfcadf1b9b7d192af8c8f228e2a8bf7914124227957a0b",
+        ),
+    ],
+    ids=["verify", "verify-single", "oracle", "pair-pairing", "pair-class"],
+)
+def test_text_digest_is_pinned(tmp_path, argv, digest):
+    # the text is rendered from the document, to these bytes
+    out = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -342,6 +378,21 @@ def test_oracle_bad_numbers_fail_before_any_suite(capsys, monkeypatch, flag, val
     assert err.splitlines()[-1] == f"dlv: error: {message}"
 
 
+def test_oracle_grid_cap_fails_before_any_suite(capsys, monkeypatch):
+    # --bound 500 used to fail only after the identity and bilinearity suites ran
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the grid cap was checked")
+
+    for suite in ("identity_suite", "bilinearity_suite"):
+        monkeypatch.setattr(f"dlv.cli.{suite}", never)
+    code, out, err = run(capsys, "oracle", "--bound", "464", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "dlv: error: grid of 100544625 points exceeds the cap of 100000000"
+    )
+
+
 def test_oracle_bound_below_the_forced_counts_is_clean(capsys):
     # --bound 3 used to report FAILURES: the grid cannot hold {F': 4, Gamma_n': 4}
     code, out, err = run(
@@ -404,6 +455,35 @@ def test_schema_violation_exits_two_and_names_the_path(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("dlv: schema self-validation failed: $.instances[1].status: ")
+
+
+def test_empty_out_path_is_a_usage_error(capsys, monkeypatch):
+    # it used to write the report to stdout and exit 0
+    def never(n):
+        raise AssertionError("the tower was built before --out was checked")
+
+    monkeypatch.setattr("dlv.cli.build_tower", never)
+    code, out, err = run(capsys, "pair", "--n", "3", "--expr", "D.D", "--out", "")
+    assert code == 1
+    assert out == ""
+    assert err == "dlv: error: cannot write : No such file or directory\n"
+
+
+def test_schema_violation_in_text_mode_is_the_json_diagnostic(tmp_path, capsys, monkeypatch):
+    # the self-check used to check nothing in text mode, which exited 0
+    _tamper_reports(monkeypatch)
+    ends = [run(capsys, "verify", "--n", "3", "--format", fmt) for fmt in ("json", "text")]
+    assert ends[0] == ends[1]
+    code, out, err = ends[1]
+    assert (code, out) == (2, "")
+    assert err.startswith("dlv: schema self-validation failed: $.instances[0].status: ")
+    target = tmp_path / "sweep.txt"
+    code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--out", str(target))
+    assert code == 2
+    assert err.splitlines()[-1].startswith(
+        "dlv: schema self-validation failed: $.reports[0].instances[0].status: "
+    )
+    assert not target.exists()
 
 
 def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monkeypatch):
@@ -593,6 +673,28 @@ def test_oracle_failure_exits_two(capsys, monkeypatch):
     assert "constructed mismatch" in out
 
 
+def test_oracle_text_lists_each_failure(capsys, monkeypatch):
+    import dlv.cli as cli_mod
+    from dlv import OracleReport
+
+    failures = ("first mismatch", "second mismatch")
+    monkeypatch.setattr(
+        cli_mod, "identity_suite", lambda *a, **k: OracleReport("identity", 9, failures, 4)
+    )
+    code, out, err = run(
+        capsys, "oracle", "--n-range", "3..3", "--m-max", "1", "--trials", "5"
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "suite identity: 9 trials, 2 FAILURES (seed 4)",
+        "  first mismatch",
+        "  second mismatch",
+    ]
+    assert lines[3].startswith("suite bilinearity: 5 trials, ok ")
+    assert lines[-1] == "total failures: 2"
+
+
 @pytest.mark.parametrize(
     "error, code, line",
     [(InvalidModel, 1, "dlv: error: "), (RuntimeError, 3, "dlv: internal error: RuntimeError: ")],
@@ -779,7 +881,7 @@ def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fm
     monkeypatch.setattr(cli_mod, "report_to_dict", report_to_dict)
     code, out, err = run(capsys, "sweep", "--n-range", "3..9", "--format", fmt)
     assert code == 0
-    assert len(alive) == (8 if fmt == "json" else 4)
+    assert len(alive) == 8  # text is rendered from each report's document too
     assert kept == []
 
 

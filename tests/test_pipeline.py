@@ -16,7 +16,6 @@ from dlv import (
     canonical_json,
     m_threshold,
     render_report_text,
-    render_sweep_text,
     report_to_dict,
     sweep_to_dict,
     verify,
@@ -213,7 +212,7 @@ def test_schema_rejects_malformed_document():
 
 def test_text_rendering_contains_the_numbers():
     report = verify(3)
-    text = render_report_text(report)
+    text = render_report_text(report_to_dict(report))
     assert "n=3" in text
     assert "Verified" in text
     assert "BeyondThreshold" in text
@@ -223,7 +222,7 @@ def test_text_rendering_contains_the_numbers():
 
 
 def test_sweep_text_rendering():
-    text = render_sweep_text([verify(n) for n in (3, 5)])
+    text = "\n".join(render_report_text(report_to_dict(verify(n))) for n in (3, 5))
     assert "n=3" in text and "n=5" in text
 
 
