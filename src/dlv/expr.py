@@ -38,7 +38,10 @@ class UnknownIdentifier(ExprError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*'*)|([+\-*.()]))")
+# ASCII only, whitespace included, so every character before an error is
+# one byte and a character offset is a byte offset.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*'*)|([+\-*.()]))", re.ASCII)
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
 
 # Python refuses int() on strings longer than its int<->str digit limit
 # (4300 by default); a literal is converted in parts no longer than this.
@@ -60,7 +63,7 @@ def _tokenize(text: str):
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:].lstrip(_SPACE)
             if not stripped:
                 break  # trailing whitespace
             at = len(text) - len(stripped)

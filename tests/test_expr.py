@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dlv import DivisorClass, MismatchedModel, build_tower, parse_expr
+from dlv.cli import main
 from dlv.expr import ExprSyntaxError, UnknownIdentifier
 
 
@@ -90,6 +91,18 @@ def test_only_ascii_digits_are_literals(text):
     with pytest.raises(ExprSyntaxError) as excinfo:
         evaluate(3, text)
     assert excinfo.value.position == 0
+
+
+def test_unicode_whitespace_is_an_unexpected_character(capsys):
+    # \s and lstrip() skipped U+2003, so the ')' was reported at character
+    # offset 5, which is byte offset 7
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        evaluate(3, "\u2003A + )")
+    assert str(excinfo.value) == "unexpected character '\\u2003' (at offset 0)"
+    assert main(["pair", "--n", "3", "--expr", "A +\u2003"]) == 1
+    assert capsys.readouterr().err == (
+        "dlv: expression error: unexpected character '\\u2003' (at offset 3)\n"
+    )
 
 
 def test_class_times_class_rejected():
