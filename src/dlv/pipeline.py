@@ -28,6 +28,7 @@ as JSON.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
@@ -241,8 +242,9 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     )
 
 
-def verify(n: int, m_max: int | None = None) -> VerificationReport:
-    """Verify one odd n for m = 1 .. m_max + 1.
+def instance_range(n: int, m_max: int | None = None) -> range:
+    """The multiples m = 1 .. m_max + 1 of a report of n, once ``n`` and
+    ``m_max`` are checked.
 
     ``m_max`` defaults to the certificate threshold (n^2 + 3) / 4; the
     extra boundary instance demonstrates the sharpness of the certificate
@@ -253,29 +255,39 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
         m_max = threshold
     else:
         exact_int(m_max, "m_max", 1)
-    tower = build_tower(n)
-    instances = tuple(verify_instance(n, m, tower=tower) for m in range(1, m_max + 2))
+    return range(1, m_max + 2)
 
-    verified = sum(1 for r in instances if r.status == VERIFIED)
-    beyond = sum(1 for r in instances if r.status == BEYOND_THRESHOLD)
-    failed = len(instances) - verified - beyond
+
+def report_summary(n: int, statuses: Counter, m: int | None = None) -> str:
+    """The summary of a report of n whose instances have ``statuses``, a
+    count by status: of the m range of :func:`instance_range`, or of the
+    single instance ``m``."""
+    if m is not None:
+        (status,) = statuses
+        return f"single instance n={n}, m={m}: {status}"
+    threshold = m_threshold(n)
     summary = (
         f"n={n}: the top-surface class has self-intersection 4 > 0, and "
-        f"h0 = 1 is certified for {verified} multiple(s) "
+        f"h0 = 1 is certified for {statuses[VERIFIED]} multiple(s) "
         f"(certified range 1 <= m <= {threshold}); "
-        f"{beyond} boundary instance(s) lie beyond the certificate range"
+        f"{statuses[BEYOND_THRESHOLD]} boundary instance(s) lie beyond the certificate range"
     )
-    if failed:
-        summary += f"; {failed} instance(s) FAILED internal checks"
-    else:
-        summary += (
-            f". A class of positive self-intersection whose multiples stay "
-            f"one-dimensional through m = {threshold} rules out every uniform "
-            f"mobility bound m_1 <= {threshold} for this surface."
-        )
-    return VerificationReport(
-        n=n, m_max=m_max, instances=instances, summary=summary
+    if statuses[FAILED]:
+        return summary + f"; {statuses[FAILED]} instance(s) FAILED internal checks"
+    return summary + (
+        f". A class of positive self-intersection whose multiples stay "
+        f"one-dimensional through m = {threshold} rules out every uniform "
+        f"mobility bound m_1 <= {threshold} for this surface."
     )
+
+
+def verify(n: int, m_max: int | None = None) -> VerificationReport:
+    """Verify one odd n for each m of :func:`instance_range`."""
+    ms = instance_range(n, m_max)
+    tower = build_tower(n)
+    instances = tuple(verify_instance(n, m, tower=tower) for m in ms)
+    summary = report_summary(n, Counter(r.status for r in instances))
+    return VerificationReport(n=n, m_max=len(ms) - 1, instances=instances, summary=summary)
 
 
 # -- serialization -----------------------------------------------------------
@@ -309,18 +321,29 @@ def sweep_to_dict(reports) -> dict:
 
 def render_report_text(doc: dict) -> str:
     """Human-readable table of a ``verification-report`` document, then
-    why each ``Failed`` instance failed: its internal-check details."""
-    instances = doc["instances"]
-    header = (
-        f"verification report  n={doc['n']}  certified threshold m={m_threshold(doc['n'])}  "
-        f"(instances m={instances[0]['m']}..{instances[-1]['m']})  "
-        f"tool {doc['tool_version']}"
-    )
+    why each ``Failed`` instance failed: its internal-check details.
+
+    It reads the instances once, in turn, keeping only each row's cells
+    and any details, and reads the summary only after them, so it renders
+    a streamed report too."""
     keys = ("m", "a_n_squared", "d_n_squared", "certificate_value", "h0", "status")
     rows = [("m", "A^2", "D^2", "certificate", "h0", "status")]
-    rows += [tuple(str(r[key]) for key in keys) for r in instances]
+    details = []
+    for r in doc["instances"]:
+        rows.append(tuple(str(r[key]) for key in keys))
+        details += (
+            f"  m={r['m']} {FAILED}: {why}"
+            for app in r["certificate_chain"]
+            if app["rule"] == "internal-check-failed"
+            for why in app["values"]["details"]
+        )
+        del r  # before a streamed report verifies its next instances
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [header]
+    lines = [
+        f"verification report  n={doc['n']}  certified threshold m={m_threshold(doc['n'])}  "
+        f"(instances m={rows[1][0]}..{rows[-1][0]})  "
+        f"tool {doc['tool_version']}"
+    ]
     for row in rows:
         lines.append(
             "  "
@@ -329,9 +352,6 @@ def render_report_text(doc: dict) -> str:
                 for i, cell in enumerate(row)
             ).rstrip()
         )
-    for r in instances:
-        for app in r["certificate_chain"]:
-            if app["rule"] == "internal-check-failed":
-                lines += (f"  m={r['m']} {FAILED}: {why}" for why in app["values"]["details"])
+    lines += details
     lines.append(f"summary: {doc['summary']}")
     return "\n".join(lines) + "\n"

@@ -8,12 +8,16 @@ piece by piece to a file.  :func:`canonical_json` is the same bytes as a
 string.  A document may hold an :class:`IntRuns` where it holds a list of
 ints, and a :class:`OneShotList` where it holds a list; the encoder writes
 each as that list, so ``json.dumps`` of a document needs ``default=list``.
+A streamed document may hold a :class:`Deferred` for a value known only
+once the values before it are written.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
-its own documents against it before writing them, as JSON or as text: a
-whole document before its first byte, a streamed ``sweep-report`` one
-report at a time.
+its own documents against it before writing them, as JSON or as text: an
+``oracle-run`` or ``pair-result`` whole before its first byte, a
+``verification-report`` (alone or in a ``sweep-report``) one group of
+instances at a time, each just before it is written, and its other fields
+once its last instance is out.
 
 :func:`validate_document` is a small checker of JSON Schema draft 2020-12
 that interprets exactly the keywords ``REPORT_SCHEMA`` uses: ``type``
@@ -61,10 +65,11 @@ def write_json(obj, fh) -> None:
     Only the types a document holds are written: a ``dict`` with ``str``
     keys (in sorted order), a ``list``, an :class:`IntRuns` (as the list of
     its ints), a :class:`OneShotList` (as the list of its items), a
-    ``str``, an ``int`` and ``True``, ``False`` and ``None``.  Anything else
-    (a float, a tuple, a set, a non-``str`` key, a subclass of
-    :class:`IntRuns` or :class:`OneShotList`) raises ``TypeError``, possibly
-    after earlier pieces went out."""
+    :class:`Deferred` (as its value), a ``str``, an ``int`` and ``True``,
+    ``False`` and ``None``.  Anything else (a float, a tuple, a set, a
+    non-``str`` key, a subclass of :class:`IntRuns`, :class:`OneShotList`
+    or :class:`Deferred`) raises ``TypeError``, possibly after earlier
+    pieces went out."""
     _emit(obj, fh.write, "\n")
     fh.write("\n")
 
@@ -127,9 +132,10 @@ def _expand_run(run) -> list[int]:
 class OneShotList:
     """A list that is written once, by :func:`write_json`, which takes each
     item from ``items`` only when it is its turn to be written and drops it
-    once written.  A ``sweep-report`` streams its reports so: each n is
-    verified only after the report before it is written and freed.
-    Iterating it a second time raises ``RuntimeError``.
+    once written.  A ``sweep-report`` streams its reports so, and a
+    ``verification-report`` its instances: each is verified only after the
+    one before it is written and freed.  Iterating it a second time raises
+    ``RuntimeError``.
     """
 
     __slots__ = ("_items",)
@@ -142,6 +148,19 @@ class OneShotList:
         if items is None:
             raise RuntimeError("a OneShotList is iterated only once")
         return iter(items)
+
+
+class Deferred:
+    """A value of a streamed document that is known only once the values
+    before it are written, as a report's ``summary`` is known only once its
+    last instance is out.  Whatever streams those values sets ``value``, and
+    :func:`write_json` writes it; it formats as its value, so text rendered
+    from the document reads it as it would read the ``str``."""
+
+    __slots__ = ("value",)
+
+    def __str__(self) -> str:
+        return self.value
 
 
 def _emit(value, write, newline: str) -> None:
@@ -177,6 +196,8 @@ def _emit(value, write, newline: str) -> None:
         _emit(list(value), write, newline)  # expanded only while it is written
     elif type(value) is OneShotList:
         _emit_items(value, write, newline)
+    elif type(value) is Deferred:
+        _emit(value.value, write, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -276,17 +297,26 @@ def schema_check_enabled() -> bool:
     return os.environ.get("DLV_SCHEMA_CHECK") == "1"
 
 
-def validate_document(document: dict, sweep_index: int | None = None) -> None:
+def validate_document(
+    document: dict, sweep_index: int | None = None, instance_index: int | None = None
+) -> None:
     """Raise :class:`SchemaViolation` when the document does not match
     ``REPORT_SCHEMA``.
 
     With ``sweep_index`` k, ``document`` is one report of a streamed
     ``sweep-report``: it is checked as item k of its ``reports``, and a
-    message names the path ``$.reports[k]...`` as for the whole sweep."""
-    if sweep_index is None:
+    message names the path ``$.reports[k]...`` as for the whole sweep.  With
+    ``instance_index`` j, ``document`` is one instance of a streamed
+    ``verification-report`` (report k of a sweep, with ``sweep_index`` k):
+    it is checked as item j of its ``instances``, path ``$.instances[j]...``
+    or ``$.reports[k].instances[j]...``."""
+    path = () if sweep_index is None else ("reports", sweep_index)
+    if instance_index is not None:
+        _check(document, _INSTANCE, (*path, "instances", instance_index))
+    elif sweep_index is None:
         _check(document, REPORT_SCHEMA, ())
     else:
-        _check(document, _VERIFICATION_REPORT, ("reports", sweep_index))
+        _check(document, _VERIFICATION_REPORT, path)
 
 
 # As in jsonschema: a bool is no integer, but an integral float is one.
@@ -341,7 +371,9 @@ def _check(value, schema: dict, path: tuple) -> None:
                 try:
                     _check(value, subschema, path)
                 except SchemaViolation as exc:
-                    violations.append(exc)
+                    # without its traceback, which would hold this frame, and so
+                    # the checked value, in a reference cycle
+                    violations.append(exc.with_traceback(None))
             matches = len(arg) - len(violations)
             if matches == 0:
                 # the branch that got deepest is most likely the one meant

@@ -205,6 +205,32 @@ def test_streamed_sweep_is_the_whole_sweep(capsys, fmt):
     assert out == whole
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "option", [(), ("--m-max", "3"), ("--m", "2")], ids=["all", "m-max", "m"]
+)
+def test_streamed_verify_is_the_library_report(capsys, fmt, option):
+    from dlv.pipeline import (
+        VerificationReport,
+        render_report_text,
+        report_to_dict,
+        verify,
+        verify_instance,
+    )
+
+    for n in range(3, 22, 2):
+        code, out, err = run(capsys, "verify", "--n", str(n), *option, "--format", fmt)
+        assert code == 0
+        if option[:1] == ("--m",):
+            report = VerificationReport(
+                n, 2, (verify_instance(n, 2),), f"single instance n={n}, m=2: Verified"
+            )
+        else:
+            report = verify(n, *(int(v) for v in option[1:]))
+        doc = report_to_dict(report)
+        assert out == (canonical_json(doc) if fmt == "json" else render_report_text(doc)), n
+
+
 def test_sweep_text_digest_is_pinned(tmp_path):
     out = tmp_path / "sweep.txt"
     assert main(["sweep", "--n-range", "3..9", "--out", str(out)]) == 0
@@ -440,20 +466,11 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
 
 
 def test_schema_violation_exits_two_and_names_the_path(capsys, monkeypatch):
-    import dlv.cli as cli_mod
-
-    real = cli_mod.report_to_dict
-
-    def tampered(report):
-        doc = real(report)
-        doc["instances"][1]["status"] = "Maybe"
-        return doc
-
-    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
-    monkeypatch.setattr(cli_mod, "report_to_dict", tampered)
+    _tamper_instance(monkeypatch, 2)
     code, out, err = run(capsys, "verify", "--n", "3", "--format", "json")
     assert code == 2
-    assert out == ""
+    # the instances are checked just before they are written: the opening is out
+    assert out == '{\n  "instances": '
     assert err.startswith("dlv: schema self-validation failed: $.instances[1].status: ")
 
 
@@ -471,11 +488,13 @@ def test_empty_out_path_is_a_usage_error(capsys, monkeypatch):
 
 def test_schema_violation_in_text_mode_is_the_json_diagnostic(tmp_path, capsys, monkeypatch):
     # the self-check used to check nothing in text mode, which exited 0
-    _tamper_reports(monkeypatch)
+    _tamper_instance(monkeypatch, 1)
     ends = [run(capsys, "verify", "--n", "3", "--format", fmt) for fmt in ("json", "text")]
-    assert ends[0] == ends[1]
-    code, out, err = ends[1]
-    assert (code, out) == (2, "")
+    (json_code, json_out, json_err), (code, out, err) = ends
+    assert (json_code, json_err) == (code, err)
+    # the JSON opening is out before the first instance is checked; no text is
+    assert (json_out, out) == ('{\n  "instances": ', "")
+    assert code == 2
     assert err.startswith("dlv: schema self-validation failed: $.instances[0].status: ")
     target = tmp_path / "sweep.txt"
     code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--out", str(target))
@@ -490,10 +509,10 @@ def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monke
     # it used to run the whole sweep, progress lines included, and fail at the end
     import dlv.cli as cli_mod
 
-    def never(n, m_max=None):
+    def never(n, m, tower=None):
         raise AssertionError("verify ran before --out was checked")
 
-    monkeypatch.setattr(cli_mod, "verify", never)
+    monkeypatch.setattr(cli_mod, "verify_instance", never)
     target = tmp_path / "missing-dir" / "sweep.txt"
     code, out, err = run(capsys, "sweep", "--n-range", "3..31", "--out", str(target))
     assert code == 1
@@ -502,35 +521,39 @@ def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monke
     assert err.count("\n") == 1  # the diagnostic alone, no "[1/15] n=3"
 
 
-def _tamper_reports(monkeypatch):
+def _tamper_instance(monkeypatch, m, n=None):
+    """Turn on the schema self-check and give instance ``m`` (of the report
+    of ``n``, or of every report) a status the schema does not allow."""
     import dlv.cli as cli_mod
 
-    real = cli_mod.report_to_dict
+    real = cli_mod.instance_to_dict
 
-    def tampered(report):
-        doc = real(report)
-        doc["instances"][0]["status"] = "Maybe"
+    def tampered(result):
+        doc = real(result)
+        if result.m == m and n in (None, result.n):
+            doc["status"] = "Maybe"
         return doc
 
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
-    monkeypatch.setattr(cli_mod, "report_to_dict", tampered)
+    monkeypatch.setattr(cli_mod, "instance_to_dict", tampered)
 
 
 def test_schema_violation_creates_no_out_file(tmp_path, capsys, monkeypatch):
-    _tamper_reports(monkeypatch)
+    _tamper_instance(monkeypatch, 1)
     target = tmp_path / "report.json"
     code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(target))
     assert code == 2
     assert not target.exists()
 
 
-def test_schema_violation_keeps_existing_out_bytes(tmp_path, capsys, monkeypatch):
-    _tamper_reports(monkeypatch)
+def test_schema_violation_removes_an_existing_out_file(tmp_path, capsys, monkeypatch):
+    # the instances are checked as they are written, so the file was begun
+    _tamper_instance(monkeypatch, 1)
     target = tmp_path / "report.json"
     target.write_bytes(b"earlier report\n")
     code, out, err = run(capsys, "verify", "--n", "3", "--format", "json", "--out", str(target))
     assert code == 2
-    assert target.read_bytes() == b"earlier report\n"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
@@ -538,13 +561,8 @@ def test_internal_error_while_streaming_leaves_no_out_file(tmp_path, capsys, mon
     # the summary is written after every instance, so part of the file is out
     import dlv.cli as cli_mod
 
-    real = cli_mod.report_to_dict
-
-    def with_a_float(report):
-        return {**real(report), "summary": 0.5}
-
     monkeypatch.delenv("DLV_SCHEMA_CHECK", raising=False)
-    monkeypatch.setattr(cli_mod, "report_to_dict", with_a_float)
+    monkeypatch.setattr(cli_mod, "report_summary", lambda *args: 0.5)
     target = tmp_path / "report.json"
     if existed:
         target.write_bytes(b"earlier report\n")
@@ -555,12 +573,35 @@ def test_internal_error_while_streaming_leaves_no_out_file(tmp_path, capsys, mon
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("verify", "--n", "5"), "$.summary"),
+        (("sweep", "--n-range", "3..7"), "$.reports[1].summary"),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_a_summary_is_checked_once_the_last_instance_is_out(
+    tmp_path, capsys, monkeypatch, argv, path
+):
+    import dlv.cli as cli_mod
+
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr(cli_mod, "report_summary", lambda n, *args: 0.5 if n == 5 else "fine")
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        f"dlv: schema self-validation failed: {path}: 0.5 is not of type 'string'"
+    )
+    assert not target.exists()
+
+
 def test_internal_error_while_streaming_keeps_an_out_link(tmp_path, capsys, monkeypatch):
     # only a regular file is removed: a link, like /dev/stdout, stays
     import dlv.cli as cli_mod
 
-    real = cli_mod.report_to_dict
-    monkeypatch.setattr(cli_mod, "report_to_dict", lambda r: {**real(r), "summary": 0.5})
+    monkeypatch.setattr(cli_mod, "report_summary", lambda *args: 0.5)
     target = tmp_path / "report.json"
     link = tmp_path / "link.json"
     link.symlink_to(target)
@@ -618,19 +659,25 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 1
 
 
-def test_failed_instance_exits_two(capsys, monkeypatch):
+def _fail_instance(monkeypatch, m, n=None):
+    """Make instance ``m`` (of the report of ``n``, or of every report) ``Failed``."""
     import dataclasses
 
     import dlv.cli as cli_mod
 
-    real = cli_mod.verify
+    real = cli_mod.verify_instance
 
-    def tampered(n, m_max=None):
-        report = real(n, m_max=m_max)
-        bad = dataclasses.replace(report.instances[0], status="Failed")
-        return dataclasses.replace(report, instances=(bad,) + report.instances[1:])
+    def tampered(n_, m_, tower=None):
+        result = real(n_, m_, tower)
+        if m_ == m and n in (None, n_):
+            result = dataclasses.replace(result, status="Failed")
+        return result
 
-    monkeypatch.setattr(cli_mod, "verify", tampered)
+    monkeypatch.setattr(cli_mod, "verify_instance", tampered)
+
+
+def test_failed_instance_exits_two(capsys, monkeypatch):
+    _fail_instance(monkeypatch, 1)
     code, out, err = run(capsys, "verify", "--n", "3")
     assert code == 2
 
@@ -728,20 +775,7 @@ def test_oracle_that_raises_in_a_child_ends_as_a_one_share_run(
 
 
 def test_failed_instance_aborts_sweep(capsys, monkeypatch):
-    import dataclasses
-
-    import dlv.cli as cli_mod
-
-    real = cli_mod.verify
-
-    def tampered(n, m_max=None):
-        report = real(n, m_max=m_max)
-        if n == 5:
-            bad = dataclasses.replace(report.instances[0], status="Failed")
-            report = dataclasses.replace(report, instances=(bad,) + report.instances[1:])
-        return report
-
-    monkeypatch.setattr(cli_mod, "verify", tampered)
+    _fail_instance(monkeypatch, 1, n=5)
     code, out, err = run(capsys, "sweep", "--n-range", "3..9")
     assert code == 2
     assert "aborting sweep" in err
@@ -752,7 +786,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("dlv.cli.verify", broken)
+    monkeypatch.setattr("dlv.cli.verify_instance", broken)
     code, out, err = run(capsys, "verify", "--n", "5")
     assert code == 3
     assert err == "dlv: internal error: RuntimeError: boom\n"
@@ -760,18 +794,20 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 
 
 def _verify_failing_at(monkeypatch, bad_n, error):
-    """Make ``verify(bad_n)`` raise ``error`` and record every n verified."""
+    """Make the first instance of ``bad_n`` raise ``error`` and record
+    every n verified."""
     import dlv.cli as cli_mod
 
-    real, seen = cli_mod.verify, []
+    real, seen = cli_mod.verify_instance, []
 
-    def verify(n, m_max=None):
-        seen.append(n)
-        if n == bad_n:
-            raise error
-        return real(n, m_max=m_max)
+    def verify_instance(n, m, tower=None):
+        if m == 1:
+            seen.append(n)
+            if n == bad_n:
+                raise error
+        return real(n, m, tower)
 
-    monkeypatch.setattr(cli_mod, "verify", verify)
+    monkeypatch.setattr(cli_mod, "verify_instance", verify_instance)
     return seen
 
 
@@ -795,24 +831,9 @@ def test_internal_error_mid_sweep_leaves_stdout_partial(capsys, monkeypatch):
     assert "n=3" in out and "n=5" in out and "n=7" not in out
 
 
-def _tamper_sweep_report(monkeypatch, bad_n):
-    import dlv.cli as cli_mod
-
-    real = cli_mod.report_to_dict
-
-    def tampered(report):
-        doc = real(report)
-        if report.n == bad_n:
-            doc["instances"][1]["status"] = "Maybe"
-        return doc
-
-    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
-    monkeypatch.setattr(cli_mod, "report_to_dict", tampered)
-
-
 @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
 def test_schema_violation_mid_sweep_leaves_no_out_file(tmp_path, capsys, monkeypatch, existed):
-    _tamper_sweep_report(monkeypatch, 7)
+    _tamper_instance(monkeypatch, 2, n=7)
     seen = _verify_failing_at(monkeypatch, 9, AssertionError("n=9 ran after a violation"))
     target = tmp_path / "sweep.json"
     if existed:
@@ -838,13 +859,15 @@ def test_schema_violation_mid_sweep_names_the_path_of_the_whole_check(capsys, mo
     doc["reports"][2]["instances"][1]["status"] = "Maybe"
     with pytest.raises(SchemaViolation) as whole:
         validate_document(doc)
-    _tamper_sweep_report(monkeypatch, 7)
+    _tamper_instance(monkeypatch, 2, n=7)
     code, out, err = run(capsys, "sweep", "--n-range", "3..7", "--format", "json")
     assert code == 2
     assert err.splitlines()[-1] == f"dlv: schema self-validation failed: {whole.value}"
-    # stdout stays partial: the reports of n = 3 and 5 are out, and nothing after them
+    # stdout stays partial: the reports of n = 3 and 5 are out, and the
+    # opening of n = 7's, whose instances are checked just before they are written
     whole_of_two = canonical_json(sweep_to_dict([verify(3), verify(5)]))
-    assert out == whole_of_two[: whole_of_two.index('\n  ],\n  "schema"')]
+    opening = ',\n    {\n      "instances": '
+    assert out == whole_of_two[: whole_of_two.index('\n  ],\n  "schema"')] + opening
 
 
 class _TrackedDict(dict):
@@ -853,35 +876,39 @@ class _TrackedDict(dict):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fmt):
+    # nor an earlier group of its own instances: n = 13 has three groups
     import dataclasses
 
     import dlv.cli as cli_mod
-    from dlv.pipeline import VerificationReport
+    from dlv.pipeline import InstanceResult, m_threshold
 
-    class TrackedReport(VerificationReport):
+    class TrackedResult(InstanceResult):
         __slots__ = ("__weakref__",)
 
-    real_verify, real_to_dict = cli_mod.verify, cli_mod.report_to_dict
-    alive, kept = [], []  # weak references; the n whose verify found one alive
+    real_verify, real_to_dict = cli_mod.verify_instance, cli_mod.instance_to_dict
+    alive, kept = [], []  # weak references; the (n, m) whose group found one alive
 
-    def verify(n, m_max=None):
-        if any(ref() is not None for ref in alive):
-            kept.append(n)
-        report = real_verify(n, m_max=m_max)
-        report = TrackedReport(*(getattr(report, f.name) for f in dataclasses.fields(report)))
-        alive.append(weakref.ref(report))
-        return report
+    def verify_instance(n, m, tower=None):
+        if (m - 1) % cli_mod._GROUP == 0 and any(ref() is not None for ref in alive):
+            kept.append((n, m))
+        result = real_verify(n, m, tower)
+        result = TrackedResult(*(getattr(result, f.name) for f in dataclasses.fields(result)))
+        alive.append(weakref.ref(result))
+        return result
 
-    def report_to_dict(report):
-        doc = _TrackedDict(real_to_dict(report))
+    def instance_to_dict(result):
+        doc = _TrackedDict(real_to_dict(result))
         alive.append(weakref.ref(doc))
         return doc
 
-    monkeypatch.setattr(cli_mod, "verify", verify)
-    monkeypatch.setattr(cli_mod, "report_to_dict", report_to_dict)
-    code, out, err = run(capsys, "sweep", "--n-range", "3..9", "--format", fmt)
+    monkeypatch.setattr(cli_mod, "verify_instance", verify_instance)
+    monkeypatch.setattr(cli_mod, "instance_to_dict", instance_to_dict)
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")  # the checker keeps nothing either
+    code, out, err = run(capsys, "sweep", "--n-range", "3..13", "--format", fmt)
     assert code == 0
-    assert len(alive) == 8  # text is rendered from each report's document too
+    assert m_threshold(13) + 1 > cli_mod._GROUP
+    # text is rendered from each instance's document too
+    assert len(alive) == 2 * sum(m_threshold(n) + 1 for n in range(3, 14, 2))
     assert kept == []
 
 
@@ -901,6 +928,20 @@ def test_sweep_memory_follows_its_largest_n(tmp_path, capsys):
     one = _traced_peak(["verify", "--n", "31", "--format", "json", "--out", out])
     sweep = _traced_peak(["sweep", "--n-range", "3..31", "--format", "json", "--out", out])
     assert sweep < 2 * one, (sweep, one)
+
+
+def test_verify_never_holds_its_whole_report(tmp_path, capsys):
+    # it held every instance until the first byte went out, about 1.4 times
+    # what the report retains
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    try:
+        from test_pipeline import _retained
+    finally:
+        sys.path.pop(0)
+    whole = _retained(61)
+    out = str(tmp_path / "report.json")
+    peak = _traced_peak(["verify", "--n", "61", "--format", "json", "--out", out])
+    assert peak < whole / 3, (peak, whole)
 
 
 @pytest.mark.parametrize(

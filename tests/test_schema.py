@@ -2,6 +2,7 @@
 reference implementation of JSON Schema draft 2020-12."""
 
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -124,6 +125,36 @@ def test_violation_names_the_deepest_path(value, path):
     with pytest.raises(SchemaViolation) as info:
         validate_document(doc)
     assert str(info.value).startswith(path + ": ")
+
+
+def test_a_check_leaves_no_reference_cycle():
+    # each failed oneOf branch kept its traceback, which held the checking
+    # frames, and so the document, in a cycle until the next collection
+    doc = _base_documents()[1]
+    gc.collect()
+    gc.disable()
+    try:
+        validate_document(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "value", [{"status": "Maybe"}, {"h0": -1}, {"m": 0}, {"extra": 1}, {"m": "1"}]
+)
+@pytest.mark.parametrize("sweep_index", [None, 0], ids=["verify", "sweep"])
+def test_an_instance_checked_alone_fails_as_in_the_whole_document(value, sweep_index):
+    # a streamed report is checked one instance at a time
+    doc = _base_documents()[0 if sweep_index is None else 1]
+    instances = doc["instances"] if sweep_index is None else doc["reports"][0]["instances"]
+    instances[1].update(value)
+    with pytest.raises(SchemaViolation) as whole:
+        validate_document(doc)
+    with pytest.raises(SchemaViolation) as alone:
+        validate_document(instances[1], sweep_index, 1)
+    assert str(alone.value) == str(whole.value)
+    assert alone.value.path == whole.value.path
 
 
 @pytest.mark.parametrize(
