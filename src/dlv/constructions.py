@@ -144,7 +144,7 @@ def blow_up(
                 )
     k = len(points)
     if exceptional_labels is None:
-        exceptional_labels = tuple(f"e_{i + 1}" for i in range(k))
+        exceptional_labels = tuple([f"e_{i + 1}" for i in range(k)])
     else:
         exceptional_labels = tuple(exceptional_labels)
     if len(exceptional_labels) != k:
@@ -158,12 +158,9 @@ def blow_up(
     old_n = model.size
     new_id = f"blowup({model.model_id};{','.join(exceptional_labels)})"
     new_basis = model.basis + exceptional_labels
-    new_gram = tuple(
-        tuple(model.gram[i]) + (0,) * k for i in range(old_n)
-    ) + tuple(
-        tuple(0 for _ in range(old_n)) + tuple(-1 if i == j else 0 for j in range(k))
-        for i in range(k)
-    )
+    new_gram = [row + (0,) * k for row in model.gram] + [
+        (0,) * (old_n + i) + (-1,) + (0,) * (k - 1 - i) for i in range(k)
+    ]
 
     morphism = MorphismMap(
         kind="blowup",
@@ -175,7 +172,7 @@ def blow_up(
 
     curves = []
     for curve in model.curves:
-        mults = tuple(p.multiplicity(curve.label) for p in points)
+        mults = [p.multiplicity(curve.label) for p in points]
         where = ", ".join(
             f"{m} at {p.label}" for p, m in zip(points, mults) if m
         ) or "missing every blown-up point"
@@ -194,7 +191,7 @@ def blow_up(
         model_id=new_id,
         basis=new_basis,
         gram=new_gram,
-        curves=tuple(curves),
+        curves=curves,
         kind="blowup",
         provenance=model.provenance
         + (
@@ -221,7 +218,7 @@ def strict_transform(
     for label, m in zip(morphism.exceptional_labels, mults):
         exact_int(m, f"multiplicity at {label}", 0)
     head = pullback(morphism, d).coeffs[: morphism.target_size]
-    return DivisorClass(morphism.source_model, head + tuple(-m for m in mults))
+    return DivisorClass(morphism.source_model, head + tuple([-m for m in mults]))
 
 
 def double_cover(
@@ -238,7 +235,7 @@ def double_cover(
     """
     model._check_owned(branch_half)
     new_id = f"double_cover({model.model_id})"
-    new_gram = tuple(tuple(2 * x for x in row) for row in model.gram)
+    new_gram = [[2 * x for x in row] for row in model.gram]
     morphism = MorphismMap(
         kind="cover",
         source_model=new_id,
@@ -246,14 +243,14 @@ def double_cover(
         target_size=model.size,
         branch_half=branch_half,
     )
-    curves = tuple(
+    curves = [
         RegisteredCurve(
             label=c.label,
             cls=pullback(morphism, c.cls),
             note=f"pullback of {c.label} under the degree-2 cover (declared curve)",
         )
         for c in model.curves
-    )
+    ]
     new_model = SurfaceModel(
         model_id=new_id,
         basis=model.basis,
@@ -388,13 +385,7 @@ def build_tower(n: int) -> Tower:
     ample_half = f_cls + g_cls  # R = F + G, half the branch class
     member = f_cls + kernel_cls  # A = F + Gamma_n, the verified class downstairs
 
-    transverse_points = tuple(
-        PointSpec(
-            f"p_{i}",
-            {"F": 1, "Gamma_n": 1},
-        )
-        for i in (1, 2, 3)
-    )
+    transverse_points = [PointSpec(f"p_{i}", {"F": 1, "Gamma_n": 1}) for i in (1, 2, 3)]
     base_blowup, base_blowup_map = blow_up(base, transverse_points)
     one_dim_cls = strict_transform(base_blowup_map, member, (2, 2, 2))  # L
 
@@ -408,13 +399,7 @@ def build_tower(n: int) -> Tower:
             "(declared multiplicity 2) at each chosen preimage"
         ),
     )
-    nodal_points = tuple(
-        PointSpec(
-            f"q_{i}",
-            {"F": 1, "Gamma_n": 1, "A_n": 2},
-        )
-        for i in (1, 2, 3)
-    )
+    nodal_points = [PointSpec(f"q_{i}", {"F": 1, "Gamma_n": 1, "A_n": 2}) for i in (1, 2, 3)]
     cover_blowup, cover_blowup_map = blow_up(
         cover, nodal_points, exceptional_labels=("E_1", "E_2", "E_3")
     )

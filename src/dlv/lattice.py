@@ -11,11 +11,21 @@ Models are *declared*, not derived: the Gram entries and the registry of
 classes known to be (irreducible) curves are geometric inputs, each carried
 with a free-text provenance note.  All values are immutable after
 construction, so the module is safe for unrestricted concurrent reads.
+
+Every tuple in the package is built from a list or from a sequence whose
+length is known, never from a generator, ``map``, ``zip``, ``filter`` or
+``enumerate``: with no length to go by, CPython allocates ten slots and
+shrinks the tuple in place, and once freed that block goes onto the free
+list of its final size, where it stays.  A run of small tuples built so
+fills each of those lists to its cap of 2,000, about 1 MB that the program
+never uses again.  Write ``tuple([... for ...])`` or ``(*map(f, xs),)``, or
+hand a list to a constructor that makes the tuple itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import add, sub
 
 from .errors import InvalidModel, InvalidParameter, MismatchedModel, UnknownCurve
 
@@ -61,19 +71,19 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         check_on(other, self.model_id, len(self.coeffs))
-        return DivisorClass(self.model_id, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.model_id, (*map(add, self.coeffs, other.coeffs),))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         check_on(other, self.model_id, len(self.coeffs))
-        return DivisorClass(self.model_id, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.model_id, (*map(sub, self.coeffs, other.coeffs),))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.model_id, tuple(-a for a in self.coeffs))
+        return DivisorClass(self.model_id, [-a for a in self.coeffs])
 
     def __mul__(self, k: int) -> "DivisorClass":
         if type(k) is not int:
             return NotImplemented
-        return DivisorClass(self.model_id, tuple(k * a for a in self.coeffs))
+        return DivisorClass(self.model_id, [k * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -180,7 +190,7 @@ class SurfaceModel:
         if not isinstance(self.gram, _ROWS) or not all(isinstance(r, _ROWS) for r in self.gram):
             raise InvalidModel("a Gram matrix must be a tuple or list of tuples or lists")
         object.__setattr__(
-            self, "gram", tuple(_exact_ints(row, "Gram entries") for row in self.gram)
+            self, "gram", tuple([_exact_ints(row, "Gram entries") for row in self.gram])
         )
 
         n = len(self.basis)
@@ -261,7 +271,7 @@ class SurfaceModel:
 
     @property
     def curve_labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.curves)
+        return tuple([c.label for c in self.curves])
 
     def has_curve(self, label: str) -> bool:
         return any(c.label == label for c in self.curves)

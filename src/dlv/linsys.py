@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 from .constructions import MorphismMap
 from .errors import (
@@ -272,7 +273,7 @@ class ForcingTrace:
         residual = self.start.coeffs
         steps = []
         for curve, value in zip(curves, self.step_pairings()):
-            residual = tuple(r - c for r, c in zip(residual, curve.cls.coeffs))
+            residual = (*map(sub, residual, curve.cls.coeffs),)
             steps.append(
                 ForcingStep(curve.label, value, DivisorClass(self.start.model_id, residual))
             )
@@ -315,7 +316,7 @@ def _fraction_free_inverse(
                     (pivot * a - factor * b) // previous for a, b in zip(aug[r], pivot_row)
                 ]
         previous = pivot
-    return tuple(tuple(aug[j][n_cols:]) for j in range(n_cols)), previous
+    return tuple([tuple(aug[j][n_cols:]) for j in range(n_cols)]), previous
 
 
 @dataclass(frozen=True)
@@ -340,8 +341,8 @@ class _ForcingPlan:
         if plan is None:
             curves = [curve.cls.coeffs for curve in model.curves]
             # the Gram matrix is symmetric, so its rows are its columns
-            rows = tuple(tuple(_dot(curve, g) for g in model.gram) for curve in curves)
-            meets = tuple(tuple(_dot(curve, row) for row in rows) for curve in curves)
+            rows = tuple([tuple([_dot(curve, g) for g in model.gram]) for curve in curves])
+            meets = tuple([tuple([_dot(curve, row) for row in rows]) for curve in curves])
             columns = curves + [
                 model.basis_class(label).coeffs for label in model.exceptional_labels
             ]
@@ -503,9 +504,11 @@ def fixed_part_forcing(
     while True:
         if clear and not any(counts):
             decomposition = tuple(
-                (curve.label, before - after)
-                for curve, before, after in zip(curves, initial, counts)
-                if before > after
+                [
+                    (curve.label, before - after)
+                    for curve, before, after in zip(curves, initial, counts)
+                    if before > after
+                ]
             )
             conclusion = UniqueMember(decomposition)
             break
@@ -538,9 +541,9 @@ def fixed_part_forcing(
         if repeats:
             runs.append(
                 ForcingRun(
-                    tuple(curves[j] for j in cycle),
+                    tuple([curves[j] for j in cycle]),
                     tuple(firsts),
-                    tuple(shift[j] for j in cycle),
+                    tuple([shift[j] for j in cycle]),
                     repeats,
                 )
             )

@@ -98,6 +98,7 @@ def identity_suite(n_list, m_max_per_n: int = 20, seed: int = 0) -> OracleReport
     closed forms.  A failure localizes a bug to one of the two routes.
     """
     exact_int(m_max_per_n, "m_max_per_n", 0)
+    exact_int(seed, "seed")
     failures = []
     trials = 0
 
@@ -145,6 +146,7 @@ def forcing_order_check(
     """Run forcing of every multiple m <= m_cap under every registry
     permutation and report any disagreement in conclusion or decomposition.
     """
+    exact_int(m_cap, "m_cap", 0)
     if len(model.curves) > 6:
         raise RegistryTooLarge(
             f"registry of {len(model.curves)} curves is too large for "
@@ -181,16 +183,15 @@ def _random_model(rng: random.Random, tag: str) -> SurfaceModel:
         for j in range(i, size):
             gram[i][j] = gram[j][i] = rng.randint(-(10**6), 10**6)
     model_id = f"random({tag})"
-    basis = tuple(f"b_{i}" for i in range(size))
     coeffs = [0] * size
     coeffs[rng.randrange(size)] = rng.randint(1, 5)
     curve = RegisteredCurve(
-        "c_0", DivisorClass(model_id, tuple(coeffs)), "randomized declared curve"
+        "c_0", DivisorClass(model_id, coeffs), "randomized declared curve"
     )
     return SurfaceModel(
         model_id=model_id,
-        basis=basis,
-        gram=tuple(tuple(row) for row in gram),
+        basis=[f"b_{i}" for i in range(size)],
+        gram=gram,
         curves=(curve,),
         kind="other",
         provenance=(f"randomized trial model {tag}",),
@@ -198,9 +199,7 @@ def _random_model(rng: random.Random, tag: str) -> SurfaceModel:
 
 
 def _random_class(rng: random.Random, model: SurfaceModel) -> DivisorClass:
-    return DivisorClass(
-        model.model_id, tuple(rng.randint(-50, 50) for _ in range(model.size))
-    )
+    return DivisorClass(model.model_id, [rng.randint(-50, 50) for _ in range(model.size)])
 
 
 def _bilinearity_trials(
@@ -291,6 +290,7 @@ def bilinearity_suite(trials: int = 10_000, seed: int = 0) -> OracleReport:
     costs its trials twice, at worst the one-share time.
     """
     exact_int(trials, "trials", 0)
+    exact_int(seed, "seed")
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
     shares = max(1, min(len(affinity(0)) if affinity else 1, trials))
     bounds = [trials * k // shares for k in range(shares + 1)]
@@ -323,6 +323,8 @@ def enumeration_check(
     """Exhaustive-grid decompositions of each multiple against the forcing
     engine: the grid must hold the forced decomposition when its counts fit
     ``coeff_bound``, and nothing else."""
+    exact_int(m_cap, "m_cap", 0)
+    exact_int(coeff_bound, "coeff_bound", 0)
     failures = []
     trials = 0
     tower = build_tower(n)

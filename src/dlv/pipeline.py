@@ -285,7 +285,7 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
     """Verify one odd n for each m of :func:`instance_range`."""
     ms = instance_range(n, m_max)
     tower = build_tower(n)
-    instances = tuple(verify_instance(n, m, tower=tower) for m in ms)
+    instances = tuple([verify_instance(n, m, tower=tower) for m in ms])
     summary = report_summary(n, Counter(r.status for r in instances))
     return VerificationReport(n=n, m_max=len(ms) - 1, instances=instances, summary=summary)
 
@@ -330,7 +330,7 @@ def render_report_text(doc: dict) -> str:
     rows = [("m", "A^2", "D^2", "certificate", "h0", "status")]
     details = []
     for r in doc["instances"]:
-        rows.append(tuple(str(r[key]) for key in keys))
+        rows.append(tuple([str(r[key]) for key in keys]))
         details += (
             f"  m={r['m']} {FAILED}: {why}"
             for app in r["certificate_chain"]

@@ -97,7 +97,7 @@ class IntRuns(Sequence):
 
     def __init__(self, runs):
         self._runs = tuple(
-            (tuple(firsts), tuple(shifts), repeats) for firsts, shifts, repeats in runs
+            [(tuple(firsts), tuple(shifts), repeats) for firsts, shifts, repeats in runs]
         )
         self._length = sum(len(firsts) * repeats for firsts, _, repeats in self._runs)
 

@@ -944,6 +944,19 @@ def test_verify_never_holds_its_whole_report(tmp_path, capsys):
     assert peak < whole / 3, (peak, whole)
 
 
+def test_verified_reports_leave_no_tuples_on_the_free_lists(tmp_path, capsys, monkeypatch, retained):
+    # tuples built from generators (forcing plans, runs, decompositions)
+    # left about 520 KB on CPython's tuple free lists
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    argv = ["sweep", "--n-range", "3..3", "--format", "json", "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 0  # first-use caches
+    argv[2] = "5..31"
+    codes = []
+    kept = retained(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert kept < 256 * 1024, kept
+
+
 @pytest.mark.parametrize(
     "argv",
     [("verify", "--n", "31", "--format", "json"), ("sweep", "--n-range", "3..31", "--format", "json")],

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+import dlv
 from dlv import (
     DivisorClass,
     InvalidModel,
@@ -322,3 +326,52 @@ def test_every_public_path_rejects_a_value_that_is_not_an_int(bad):
         with pytest.raises(error):
             build(bad)
             pytest.fail(f"{name} took {bad!r}")
+
+
+_NO_LENGTH = ("map", "zip", "filter", "enumerate")
+
+
+def _tuples_without_a_length(source: str) -> list[int]:
+    """The lines of ``source`` that call ``tuple`` on a generator
+    expression or on a call to one of ``_NO_LENGTH``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+        ):
+            (arg,) = node.args
+            if isinstance(arg, ast.GeneratorExp) or (
+                isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Name)
+                and arg.func.id in _NO_LENGTH
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("tuple(a + b for a, b in pairs)", [1]),
+        ("x = 1\ny = tuple(map(f, xs))", [2]),
+        ("tuple(zip(a, b)), tuple(filter(None, a)), tuple(enumerate(a))", [1, 1, 1]),
+        ("tuple([a for a in xs]), (*map(f, xs),), tuple(xs), tuple(sorted(xs))", []),
+    ],
+)
+def test_the_tuple_rule_check_finds_each_tuple_without_a_length(source, lines):
+    assert _tuples_without_a_length(source) == lines
+
+
+def test_no_tuple_in_the_package_is_built_without_a_length():
+    # the rule in the lattice docstring: such a tuple leaves its block on
+    # the free list of its final size
+    package = pathlib.Path(dlv.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        for line in _tuples_without_a_length(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -143,6 +143,65 @@ def test_empty_suites_are_valid(tower_3):
     assert enumerate_decompositions(tower_3.base_blowup, tower_3.base_blowup.zero(), 0) == [{}]
 
 
+class _Int(int):
+    pass
+
+
+_NOT_INTS = [
+    pytest.param(True, id="bool"),
+    pytest.param(1.5, id="float"),
+    pytest.param("3", id="str"),
+    pytest.param(_Int(3), id="int-subclass"),
+]
+
+
+@pytest.fixture
+def no_suite_work(monkeypatch):
+    """Make every first step of a suite fail the test."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("the suite began before its parameters were checked")
+
+    for name in ("build_tower", "fixed_part_forcing", "_bilinearity_trials", "_fork_share"):
+        monkeypatch.setattr(oracle, name, work)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+@pytest.mark.parametrize("suite", ["identity", "bilinearity"])
+def test_seeds_are_exact_ints_checked_before_any_work(no_suite_work, suite, bad):
+    # a bool or float seed went into the report, which the schema rejects
+    with pytest.raises(InvalidParameter, match="^seed must be an integer"):
+        if suite == "identity":
+            identity_suite([3], 1, seed=bad)
+        else:
+            bilinearity_suite(2, seed=bad)
+
+
+@pytest.mark.parametrize("bad", [*_NOT_INTS, pytest.param(-1, id="negative")])
+@pytest.mark.parametrize(
+    "suite, name",
+    [("forcing-order", "m_cap"), ("enumeration", "m_cap"), ("enumeration", "coeff_bound")],
+)
+def test_sizes_are_exact_ints_checked_before_any_work(tower_3, no_suite_work, suite, name, bad):
+    # m_cap=True ran one trial, m_cap=-1 none, and m_cap=2.0 or "3" ended
+    # in a bare TypeError; coeff_bound was checked only once a tower was built
+    with pytest.raises(InvalidParameter, match=f"^{name} must be an integer >= 0"):
+        if suite == "forcing-order":
+            forcing_order_check(tower_3.base_blowup, tower_3.classes["L"], m_cap=bad)
+        else:
+            enumeration_check(**{name: bad})
+
+
+def test_bilinearity_trials_leave_no_tuples_on_the_free_lists(retained):
+    # tuples built from generators left CPython's tuple free lists for sizes
+    # 1 to 8 at their cap of 2,000 each: about 1,200 KB retained
+    assert oracle._bilinearity_trials(1, 0, 20) == []  # first-use caches
+    failures = []
+    kept = retained(lambda: failures.extend(oracle._bilinearity_trials(1, 20, 2020)))
+    assert failures == []
+    assert kept < 64 * 1024, kept
+
+
 def test_oracle_report_serialization():
     report = identity_suite([3], m_max_per_n=2)
     document = oracle_report_to_dict(report)
