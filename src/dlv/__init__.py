@@ -39,11 +39,7 @@ from .constructions import (
     build_abelian_product,
     build_tower,
     double_cover,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     pullback,
-    save_model,
     strict_transform,
 )
 from .linsys import (

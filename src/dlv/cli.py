@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import stat
 import sys
 import time
@@ -67,12 +68,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def integer(text: str) -> int:
+    """``text`` as an int if it is ASCII digits with an optional leading
+    ``-``; ``ValueError`` otherwise.  Unlike ``int``, it takes no other
+    Unicode digit, ``_`` or surrounding space."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_odd_range(text: str) -> list[int]:
     usage = _UsageError(
         f"dlv: error: --n-range expects A..B with odd integers 3 <= A <= B, got {text!r}"
     )
     try:
-        lo, hi = (check_odd_n(int(bound)) for bound in text.split(".."))
+        lo, hi = (check_odd_n(integer(bound)) for bound in text.split(".."))
     except (ValueError, InvalidParameter):
         raise usage from None
     if hi < lo:
@@ -100,14 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_seed_flag(p):
         # verification is fully deterministic; the flag is accepted everywhere
         # so invocations stay uniform, but only the oracle command uses it
-        p.add_argument("--seed", type=int, default=0, help="randomization seed")
+        p.add_argument("--seed", type=integer, default=0, help="randomization seed")
 
     p_verify = sub.add_parser("verify", help="verify one odd n across its full m range")
-    p_verify.add_argument("--n", type=int, required=True, help="odd integer >= 3")
+    p_verify.add_argument("--n", type=integer, required=True, help="odd integer >= 3")
     which_m = p_verify.add_mutually_exclusive_group()
-    which_m.add_argument("--m", type=int, help="verify a single instance m only")
+    which_m.add_argument("--m", type=integer, help="verify a single instance m only")
     which_m.add_argument(
-        "--m-max", type=int, dest="m_max", help="override the certified threshold"
+        "--m-max", type=integer, dest="m_max", help="override the certified threshold"
     )
     add_seed_flag(p_verify)
     add_output_flags(p_verify)
@@ -127,19 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="odd n range for the identity suite (default 3..99)",
     )
     p_oracle.add_argument(
-        "--m-max", dest="m_max", type=int, default=20,
+        "--m-max", dest="m_max", type=integer, default=20,
         help="m per n for the identity suite (default 20)",
     )
-    p_oracle.add_argument("--trials", type=int, default=10_000, help="randomized trials")
+    p_oracle.add_argument("--trials", type=integer, default=10_000, help="randomized trials")
     add_seed_flag(p_oracle)
     p_oracle.add_argument(
-        "--bound", type=int, default=10, help="coefficient bound for enumeration"
+        "--bound", type=integer, default=10, help="coefficient bound for enumeration"
     )
     add_output_flags(p_oracle)
     p_oracle.set_defaults(run=_cmd_oracle)
 
     p_pair = sub.add_parser("pair", help="evaluate a pairing expression")
-    p_pair.add_argument("--n", type=int, required=True, help="odd integer >= 3")
+    p_pair.add_argument("--n", type=integer, required=True, help="odd integer >= 3")
     p_pair.add_argument(
         "--expr",
         required=True,

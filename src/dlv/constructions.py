@@ -38,14 +38,12 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ArityMismatch,
-    InvalidModel,
     InvalidParameter,
     MismatchedModel,
     NotABlowup,
     UnknownCurve,
 )
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
-from .schema import document, write_json
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ def blow_up(
     pullbacks pair exactly as they did downstairs.  Every registered curve
     C reappears as its strict transform C' = pullback(C) - sum of declared
     multiplicities times exceptionals, re-registered under the primed label
-    and declared irreducible with a provenance note.
+    and declared irreducible.
     """
     points = tuple(points)
     if not points:
@@ -170,22 +168,13 @@ def blow_up(
         exceptional_labels=exceptional_labels,
     )
 
-    curves = []
-    for curve in model.curves:
-        mults = [p.multiplicity(curve.label) for p in points]
-        where = ", ".join(
-            f"{m} at {p.label}" for p, m in zip(points, mults) if m
-        ) or "missing every blown-up point"
-        curves.append(
-            RegisteredCurve(
-                label=curve.label + "'",
-                cls=strict_transform(morphism, curve.cls, mults),
-                note=(
-                    f"strict transform of {curve.label} (declared multiplicities: "
-                    f"{where}); declared irreducible"
-                ),
-            )
+    curves = [
+        RegisteredCurve(
+            curve.label + "'",
+            strict_transform(morphism, curve.cls, [p.multiplicity(curve.label) for p in points]),
         )
+        for curve in model.curves
+    ]
 
     new_model = SurfaceModel(
         model_id=new_id,
@@ -193,13 +182,6 @@ def blow_up(
         gram=new_gram,
         curves=curves,
         kind="blowup",
-        provenance=model.provenance
-        + (
-            f"blow-up of {model.model_id} at points "
-            f"{', '.join(p.label for p in points)}; exceptional classes "
-            f"{', '.join(exceptional_labels)} with e^2 = -1, mutually orthogonal "
-            f"and orthogonal to pullbacks",
-        ),
         exceptional_labels=model.exceptional_labels + exceptional_labels,
     )
     return new_model, morphism
@@ -243,26 +225,13 @@ def double_cover(
         target_size=model.size,
         branch_half=branch_half,
     )
-    curves = [
-        RegisteredCurve(
-            label=c.label,
-            cls=pullback(morphism, c.cls),
-            note=f"pullback of {c.label} under the degree-2 cover (declared curve)",
-        )
-        for c in model.curves
-    ]
+    curves = [RegisteredCurve(c.label, pullback(morphism, c.cls)) for c in model.curves]
     new_model = SurfaceModel(
         model_id=new_id,
         basis=model.basis,
         gram=new_gram,
         curves=curves,
         kind="cover",
-        provenance=model.provenance
-        + (
-            f"double cover of {model.model_id} branched along a smooth member of "
-            f"|2R|; only the pullback sublattice is represented, with pairings "
-            f"scaled by the degree 2",
-        ),
         exceptional_labels=model.exceptional_labels,
     )
     return new_model, morphism
@@ -293,7 +262,18 @@ def build_abelian_product(n: int) -> SurfaceModel:
          [1, 0,  n^2],
          [4, n^2, 0 ]]
 
-    All three classes are smooth elliptic curves, registered as such.
+    All three classes are smooth elliptic curves, registered as such
+    (Gamma_n is connected because gcd(n, 2) = 1).  The declared numbers:
+
+    * F^2 = G^2 = 0: distinct fibers of a projection are disjoint;
+    * F.G = 1: the two fibers cross exactly once, transversely (a supplied
+      value, forced by the product structure and stated nowhere upstream);
+    * F.Gamma_n = 4: F meets the kernel curve in the four 2-torsion points
+      of a fiber (multiplication by 2 is etale);
+    * G.Gamma_n = n^2: G meets the kernel curve in the n^2 n-torsion points
+      of a fiber (multiplication by n is etale);
+    * Gamma_n^2 = 0: adjunction for a smooth elliptic curve on an abelian
+      surface.
     """
     check_odd_n(n)
     model_id = f"abelian_product(n={n})"
@@ -304,26 +284,9 @@ def build_abelian_product(n: int) -> SurfaceModel:
     )
     mk = lambda *coeffs: DivisorClass(model_id, coeffs)
     curves = (
-        RegisteredCurve("F", mk(1, 0, 0), "first fiber class; smooth elliptic, F^2 = 0"),
-        RegisteredCurve("G", mk(0, 1, 0), "second fiber class; smooth elliptic, G^2 = 0"),
-        RegisteredCurve(
-            "Gamma_n",
-            mk(0, 0, 1),
-            f"kernel curve of (x, y) |-> {n}x + 2y; connected smooth elliptic "
-            f"(gcd({n}, 2) = 1), Gamma_n^2 = 0 by adjunction",
-        ),
-    )
-    provenance = (
-        f"declared intersection numbers on the product of an elliptic curve with "
-        f"itself (n = {n}):",
-        "F^2 = G^2 = 0: distinct fibers of a projection are disjoint",
-        "F.G = 1: the two fibers cross exactly once, transversely "
-        "(supplied value: forced by the product structure, stated nowhere upstream)",
-        "F.Gamma_n = 4: F meets the kernel curve in the four 2-torsion points "
-        "of a fiber (multiplication by 2 is etale)",
-        f"G.Gamma_n = {n * n} = n^2: G meets the kernel curve in the n^2 "
-        f"n-torsion points of a fiber (multiplication by n is etale)",
-        "Gamma_n^2 = 0: adjunction for a smooth elliptic curve on an abelian surface",
+        RegisteredCurve("F", mk(1, 0, 0)),
+        RegisteredCurve("G", mk(0, 1, 0)),
+        RegisteredCurve("Gamma_n", mk(0, 0, 1)),
     )
     return SurfaceModel(
         model_id=model_id,
@@ -331,7 +294,6 @@ def build_abelian_product(n: int) -> SurfaceModel:
         gram=gram,
         curves=curves,
         kind="abelian",
-        provenance=provenance,
     )
 
 
@@ -390,15 +352,10 @@ def build_tower(n: int) -> Tower:
     one_dim_cls = strict_transform(base_blowup_map, member, (2, 2, 2))  # L
 
     cover, cover_map = double_cover(base, ample_half)
-    cover = cover.with_curve(
-        "A_n",
-        pullback(cover_map, member),
-        note=(
-            "pullback of the member F + Gamma_n; the cover is etale over the "
-            "three chosen transverse points, so this curve has an ordinary node "
-            "(declared multiplicity 2) at each chosen preimage"
-        ),
-    )
+    # A_n, the pullback of the member F + Gamma_n: the cover is etale over
+    # the three chosen transverse points, so A_n has an ordinary node
+    # (declared multiplicity 2) at each chosen preimage
+    cover = cover.with_curve("A_n", pullback(cover_map, member))
     nodal_points = [PointSpec(f"q_{i}", {"F": 1, "Gamma_n": 1, "A_n": 2}) for i in (1, 2, 3)]
     cover_blowup, cover_blowup_map = blow_up(
         cover, nodal_points, exceptional_labels=("E_1", "E_2", "E_3")
@@ -427,87 +384,3 @@ def build_tower(n: int) -> Tower:
         cover_blowup_map=cover_blowup_map,
         classes=classes,
     )
-
-
-# -- model files -------------------------------------------------------------
-
-
-def model_to_dict(model: SurfaceModel) -> dict:
-    return document(
-        "surface-model",
-        model_id=model.model_id,
-        basis=list(model.basis),
-        gram=[list(row) for row in model.gram],
-        kind=model.kind,
-        curves=[
-            {"label": c.label, "coeffs": list(c.cls.coeffs), "note": c.note}
-            for c in model.curves
-        ],
-        provenance=list(model.provenance),
-        exceptional_labels=list(model.exceptional_labels),
-    )
-
-
-_JSON_KINDS = {dict: "an object", list: "a list"}
-
-
-def _typed(value, kind: type, what: str):
-    """``value`` if it is a ``kind``; ``InvalidModel`` naming ``what`` otherwise."""
-    if not isinstance(value, kind):
-        raise InvalidModel(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
-    return value
-
-
-def _field(data: dict, key: str, kind: type | None = None, where: str = "a model"):
-    """``data[key]``, of JSON type ``kind`` when one is given; ``InvalidModel``
-    naming the key when it is missing or of another type."""
-    if key not in data:
-        raise InvalidModel(f"{where} lacks the required key {key!r}")
-    return data[key] if kind is None else _typed(data[key], kind, f"{key!r} of {where}")
-
-
-def _curve_from_dict(model_id: str, data) -> RegisteredCurve:
-    _typed(data, dict, "a curve")
-    return RegisteredCurve(
-        label=_field(data, "label", where="a curve"),
-        cls=DivisorClass(model_id, _field(data, "coeffs", list, "a curve")),
-        note=data.get("note", ""),
-    )
-
-
-def model_from_dict(data: dict) -> SurfaceModel:
-    """The model a :func:`model_to_dict` document describes.
-
-    The loader checks only what concerns JSON: a missing key, the
-    ``schema`` name, and the objects and lists it takes apart; it names
-    the key.  Every other value is left to the constructors, whose
-    messages name the field too.
-    """
-    _typed(data, dict, "a model")
-    schema = _field(data, "schema")
-    if schema != "surface-model":
-        raise InvalidModel(f"'schema' of a model must be 'surface-model', got {schema!r}")
-    model_id = _field(data, "model_id")
-    return SurfaceModel(
-        model_id=model_id,
-        basis=_field(data, "basis", list),
-        gram=[_typed(row, list, "each row of 'gram'") for row in _field(data, "gram", list)],
-        curves=[_curve_from_dict(model_id, c) for c in _field(data, "curves", list)],
-        kind=_field(data, "kind"),
-        provenance=_typed(data.get("provenance", []), list, "'provenance' of a model"),
-        exceptional_labels=_typed(
-            data.get("exceptional_labels", []), list, "'exceptional_labels' of a model"
-        ),
-    )
-
-
-def save_model(model: SurfaceModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_json(model_to_dict(model), fh)
-
-
-def load_model(path) -> SurfaceModel:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -8,9 +8,10 @@ precision), checked to be exactly ``int`` when a class or model is built,
 and no rational or floating-point arithmetic ever enters.
 
 Models are *declared*, not derived: the Gram entries and the registry of
-classes known to be (irreducible) curves are geometric inputs, each carried
-with a free-text provenance note.  All values are immutable after
-construction, so the module is safe for unrestricted concurrent reads.
+classes known to be (irreducible) curves are geometric inputs, justified in
+the docstrings and comments of the code that declares them.  All values are
+immutable after construction, so the module is safe for unrestricted
+concurrent reads.
 
 Every tuple in the package is built from a list or from a sequence whose
 length is known, never from a generator, ``map``, ``zip``, ``filter`` or
@@ -105,24 +106,20 @@ def check_on(d, model_id: str, size: int) -> None:
 
 @dataclass(frozen=True)
 class RegisteredCurve:
-    """A divisor class declared to be an irreducible curve, with provenance.
+    """A divisor class declared to be an irreducible curve, under a label.
 
-    Irreducibility is geometric input, never computed; the note records
-    where the declaration comes from.
+    Irreducibility is geometric input, never computed.
     """
 
     label: str
     cls: DivisorClass
-    note: str = ""
 
     def __post_init__(self):
-        for name in ("label", "note"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise InvalidModel(
-                    f"{name!r} of a registered curve must be a string, "
-                    f"got {type(value).__name__}"
-                )
+        if not isinstance(self.label, str):
+            raise InvalidModel(
+                "'label' of a registered curve must be a string, "
+                f"got {type(self.label).__name__}"
+            )
         if not isinstance(self.cls, DivisorClass):
             raise InvalidModel(
                 "'cls' of a registered curve must be a DivisorClass, "
@@ -149,8 +146,6 @@ class SurfaceModel:
         one of ``abelian``, ``blowup``, ``cover``, ``other``; an abelian
         model rejects registered curves of negative self-intersection
         (an abelian surface carries none).
-    provenance:
-        free-text notes justifying the declared data.
     exceptional_labels:
         basis labels that are exceptional classes of a blow-up (empty for
         models that are not blow-ups); used by the fixed-component engine
@@ -162,7 +157,6 @@ class SurfaceModel:
     gram: tuple[tuple[int, ...], ...]
     curves: tuple[RegisteredCurve, ...] = ()
     kind: str = "other"
-    provenance: tuple[str, ...] = ()
     exceptional_labels: tuple[str, ...] = ()
     _basis_index: dict = field(init=False, repr=False, compare=False)
     # Built by the forcing engine at the model's first forcing; a copy made
@@ -174,7 +168,7 @@ class SurfaceModel:
             raise InvalidModel(
                 f"'model_id' must be a string, got {type(self.model_id).__name__}"
             )
-        for name in ("basis", "curves", "provenance", "exceptional_labels"):
+        for name in ("basis", "curves", "exceptional_labels"):
             value = getattr(self, name)
             if not isinstance(value, _ROWS):
                 raise InvalidModel(f"{name} must be a tuple or list, got {type(value).__name__}")
@@ -182,11 +176,6 @@ class SurfaceModel:
         for label in self.basis:
             if not isinstance(label, str):
                 raise InvalidModel(f"basis labels must be strings, got {label!r} in 'basis'")
-        for note in self.provenance:
-            if not isinstance(note, str):
-                raise InvalidModel(
-                    f"each entry of 'provenance' must be a string, got {type(note).__name__}"
-                )
         if not isinstance(self.gram, _ROWS) or not all(isinstance(r, _ROWS) for r in self.gram):
             raise InvalidModel("a Gram matrix must be a tuple or list of tuples or lists")
         object.__setattr__(
@@ -282,10 +271,10 @@ class SurfaceModel:
                 return c
         raise UnknownCurve(f"{label!r} is not a registered curve of {self.model_id!r}")
 
-    def with_curve(self, label: str, cls: DivisorClass, note: str = "") -> "SurfaceModel":
+    def with_curve(self, label: str, cls: DivisorClass) -> "SurfaceModel":
         """Return a copy of the model with one more declared curve."""
         self._check_owned(cls)
-        return replace(self, curves=self.curves + (RegisteredCurve(label, cls, note),))
+        return replace(self, curves=self.curves + (RegisteredCurve(label, cls),))
 
     # -- pairing ----------------------------------------------------------
 

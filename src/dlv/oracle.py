@@ -185,16 +185,13 @@ def _random_model(rng: random.Random, tag: str) -> SurfaceModel:
     model_id = f"random({tag})"
     coeffs = [0] * size
     coeffs[rng.randrange(size)] = rng.randint(1, 5)
-    curve = RegisteredCurve(
-        "c_0", DivisorClass(model_id, coeffs), "randomized declared curve"
-    )
+    curve = RegisteredCurve("c_0", DivisorClass(model_id, coeffs))
     return SurfaceModel(
         model_id=model_id,
         basis=[f"b_{i}" for i in range(size)],
         gram=gram,
         curves=(curve,),
         kind="other",
-        provenance=(f"randomized trial model {tag}",),
     )
 
 

@@ -168,6 +168,51 @@ def test_a_bad_range_is_reported_like_every_usage_error(capsys, command):
     )
 
 
+_ORACLE = ("oracle", "--n-range", "3..3", "--m-max", "1", "--trials", "0", "--bound", "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pair", "--expr", "A.A", "--n", "٣"),
+        ("verify", "--n", " 3"),
+        ("sweep", "--n-range", "3_1..3_3"),
+        ("sweep", "--n-range", "٣..٥"),
+        ("verify", "--n", "3", "--m", "١"),
+        ("verify", "--n", "3", "--m-max", "١"),
+        ("verify", "--n", "3", "--seed", "١"),
+        (*_ORACLE, "--trials", "1_0"),
+        (*_ORACLE, "--m-max", "١"),
+        (*_ORACLE, "--bound", "٣"),
+        (*_ORACLE, "--seed", "١"),
+    ],
+    ids=[
+        "pair-n",
+        "verify-n-space",
+        "sweep-underscores",
+        "sweep-digits",
+        "verify-m",
+        "verify-m-max",
+        "verify-seed",
+        "oracle-trials",
+        "oracle-m-max",
+        "oracle-bound",
+        "oracle-seed",
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    # each was read by int(), which takes any Unicode digit, "_" and
+    # surrounding space: "pair --n ٣" printed 8, and the sweep verified n = 31, 33
+    *_, flag, value = argv
+    if flag == "--n-range":
+        line = f"dlv: error: --n-range expects A..B with odd integers 3 <= A <= B, got {value!r}"
+    else:
+        line = f"dlv {argv[0]}: error: argument {flag}: invalid integer value: {value!r}"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == line
+
+
 def test_sweep_json_deterministic(tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

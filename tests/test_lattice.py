@@ -116,17 +116,31 @@ def test_gram_must_be_rows_of_a_tuple_or_list(gram):
     [
         ("basis", 5, "basis must be a tuple or list, got int"),
         ("exceptional_labels", 5, "exceptional_labels must be a tuple or list, got int"),
-        ("provenance", 5, "provenance must be a tuple or list, got int"),
         ("curves", 5, "curves must be a tuple or list, got int"),
         ("curves", (5,), "registered curves must be RegisteredCurve, got int"),
     ],
-    ids=["basis", "exceptional_labels", "provenance", "curves", "curve"],
+    ids=["basis", "exceptional_labels", "curves", "curve"],
 )
 def test_malformed_fields_are_invalid_models(field, value, message):
     # each used to end in a bare TypeError or AttributeError
     fields = {"model_id": "x", "basis": ("a",), "gram": ((0,),), field: value}
     with pytest.raises(InvalidModel, match=message):
         SurfaceModel(**fields)
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: SurfaceModel(5, ("a",), ((0,),)), "model_id"),
+        (lambda: RegisteredCurve(5, DivisorClass("x", (1,))), "label"),
+        (lambda: RegisteredCurve("c", ("x", (1,))), "cls"),
+    ],
+    ids=["model_id", "label", "cls"],
+)
+def test_a_field_of_the_wrong_type_is_named(build, key):
+    # each of these used to build, with a field of the wrong type
+    with pytest.raises(InvalidModel, match=repr(key)):
+        build()
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
@@ -190,7 +204,7 @@ def test_abelian_model_rejects_negative_curves():
             model_id=mid,
             basis=("a",),
             gram=((-1,),),
-            curves=(RegisteredCurve("a", DivisorClass(mid, (1,)), ""),),
+            curves=(RegisteredCurve("a", DivisorClass(mid, (1,))),),
             kind="abelian",
         )
 
@@ -202,7 +216,7 @@ def test_registered_curve_length_checked():
             model_id=mid,
             basis=("a", "b"),
             gram=((0, 1), (1, 0)),
-            curves=(RegisteredCurve("c", DivisorClass(mid, (1,)), ""),),
+            curves=(RegisteredCurve("c", DivisorClass(mid, (1,))),),
         )
 
 
@@ -213,7 +227,7 @@ def test_zero_class_cannot_be_registered():
             model_id=mid,
             basis=("a",),
             gram=((2,),),
-            curves=(RegisteredCurve("c", DivisorClass(mid, (0,)), ""),),
+            curves=(RegisteredCurve("c", DivisorClass(mid, (0,))),),
         )
 
 
@@ -284,7 +298,7 @@ def test_self_int_equals_pair(data):
 def _public_paths():
     """Every public way to bring a value into exact arithmetic, each with
     the error it raises on a value that is not exactly an int."""
-    from dlv.constructions import PointSpec, build_tower, model_from_dict, strict_transform
+    from dlv.constructions import PointSpec, build_tower, strict_transform
 
     model = build_abelian_product(3)
     f = model.basis_class("F")
@@ -303,20 +317,6 @@ def _public_paths():
         ),
         ("point", InvalidParameter, lambda bad: PointSpec("p", {"F": bad})),
         ("exact-int", InvalidParameter, lambda bad: exact_int(bad, "m")),
-        (
-            "model-file",
-            InvalidModel,
-            lambda bad: model_from_dict(
-                {
-                    "schema": "surface-model",
-                    "model_id": "x",
-                    "basis": ["a"],
-                    "gram": [[bad]],
-                    "curves": [],
-                    "kind": "other",
-                }
-            ),
-        ),
     ]
 
 

@@ -103,7 +103,7 @@ def test_forcing_order_single_curve_registry():
         model_id=mid,
         basis=("a",),
         gram=((-2,),),
-        curves=(RegisteredCurve("a", DivisorClass(mid, (1,)), ""),),
+        curves=(RegisteredCurve("a", DivisorClass(mid, (1,))),),
     )
     report = forcing_order_check(model, DivisorClass(mid, (1,)), m_cap=3)
     assert report.ok
@@ -112,7 +112,7 @@ def test_forcing_order_single_curve_registry():
 def test_forcing_order_registry_cap(tower_3):
     model = tower_3.base_blowup
     for i in range(4):
-        model = model.with_curve(f"extra_{i}", model.basis_class("e_1"), "padding")
+        model = model.with_curve(f"extra_{i}", model.basis_class("e_1"))
     with pytest.raises(RegistryTooLarge):
         forcing_order_check(model, tower_3.classes["L"])
 
