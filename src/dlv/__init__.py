@@ -63,7 +63,6 @@ from .pipeline import (
     VERIFIED,
     InstanceResult,
     VerificationReport,
-    canonical_json,
     m_threshold,
     render_report_text,
     report_to_dict,
@@ -80,4 +79,5 @@ from .oracle import (
     identity_suite,
     oracle_report_to_dict,
 )
+from .schema import canonical_json
 from .expr import ExprError, ExprSyntaxError, UnknownIdentifier, parse_expr

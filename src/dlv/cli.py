@@ -48,7 +48,6 @@ from .pipeline import (
     verify_instance,
 )
 from .schema import (
-    Deferred,
     OneShotList,
     document,
     schema_check_enabled,
@@ -65,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; usage errors here are 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _UsageError(f"dlv: error: {message}")
 
 
 def integer(text: str) -> int:
@@ -280,22 +279,23 @@ def _report(
     else:
         m_max = exact_int(m, "m", 1)
         ms = range(m, m + 1)
-    head = document("verification-report", n=n, m_max=m_max)
-    statuses, summary = Counter(), Deferred()
-    instances = _instances(head, build_tower(n), ms, m, statuses, summary, sweep_index)
-    return {**head, "instances": OneShotList(instances), "summary": summary}, statuses
+    report = document("verification-report", n=n, m_max=m_max, instances=None, summary=None)
+    statuses = Counter()
+    instances = _instances(report, build_tower(n), ms, m, statuses, sweep_index)
+    report["instances"] = OneShotList(instances)
+    return report, statuses
 
 
-def _instances(head, tower, ms, single, statuses, summary, sweep_index):
+def _instances(report, tower, ms, single, statuses, sweep_index):
     """The checked document of each instance of ``ms``, in turn, counted
     by status in ``statuses``.
 
     A group of ``_GROUP`` instances is verified, converted and checked
     before the first of them is yielded, and dropped before the next group
-    is verified.  After the last, it sets ``summary`` (of the ``single``
-    instance, when that is not None) and checks the other fields of
-    ``head``'s report, which all come after ``instances`` in the document."""
-    n = head["n"]
+    is verified.  After the last, it sets the ``summary`` of ``report`` (of
+    the ``single`` instance, when that is not None) and checks its other
+    fields, which all come after ``instances`` in the document."""
+    n = report["n"]
     for start in range(0, len(ms), _GROUP):
         group = [
             instance_to_dict(verify_instance(n, m, tower)) for m in ms[start : start + _GROUP]
@@ -306,8 +306,8 @@ def _instances(head, tower, ms, single, statuses, summary, sweep_index):
         del instance  # the group's last, which would outlive the group
         yield from group
         del group  # before the next group is verified
-    summary.value = report_summary(n, statuses, single)
-    _checked({**head, "instances": [], "summary": summary.value}, sweep_index)
+    report["summary"] = report_summary(n, statuses, single)
+    _checked({**report, "instances": []}, sweep_index)
 
 
 def _cmd_verify(args) -> int:
@@ -343,7 +343,9 @@ def _cmd_sweep(args) -> int:
 
     items = reports()
     try:
-        _write(args, document("sweep-report", reports=OneShotList(items)))
+        doc = document("sweep-report", reports=OneShotList(items))
+        _checked({**doc, "reports": []})  # its envelope, before the first n is verified
+        _write(args, doc)
     finally:  # an n cut short reports its time before the error that cut it
         items.close()
     return code

@@ -43,7 +43,8 @@ from .linsys import (
     fixed_part_forcing,
     h0_unique_member,
 )
-from .schema import canonical_json, document  # noqa: F401 (canonical_json is re-exported)
+# perfbench/tracing.py binds pipeline.canonical_json
+from .schema import canonical_json, document  # noqa: F401
 
 VERIFIED = "Verified"
 BEYOND_THRESHOLD = "BeyondThreshold"

@@ -8,13 +8,15 @@ piece by piece to a file.  :func:`canonical_json` is the same bytes as a
 string.  A document may hold an :class:`IntRuns` where it holds a list of
 ints, and a :class:`OneShotList` where it holds a list; the encoder writes
 each as that list, so ``json.dumps`` of a document needs ``default=list``.
-A streamed document may hold a :class:`Deferred` for a value known only
-once the values before it are written.
+A value of a streamed document may be set while the values that sort
+before it are written, as a report's ``summary`` is set once its last
+instance is out.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
 and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
 its own documents against it before writing them, as JSON or as text: an
 ``oracle-run`` or ``pair-result`` whole before its first byte, a
+``sweep-report``'s envelope before its first report, and a
 ``verification-report`` (alone or in a ``sweep-report``) one group of
 instances at a time, each just before it is written, and its other fields
 once its last instance is out.
@@ -25,9 +27,10 @@ that interprets exactly the keywords ``REPORT_SCHEMA`` uses: ``type``
 ``minimum``, ``properties``, ``required``, ``additionalProperties: false``,
 ``items`` and ``oneOf``.  It ignores ``$schema`` and ``$id`` and raises
 ``ValueError`` on any other keyword, so the schema cannot outgrow it
-unnoticed.  A document that does not match raises
-:class:`~dlv.errors.SchemaViolation`, whose message names the JSON path of
-the offending value.  The tests compare it with ``jsonschema``'s
+unnoticed.  It finds the first offending value without raising, so a
+``oneOf`` branch that does not match costs no exception; a document that
+does not match then raises one :class:`~dlv.errors.SchemaViolation`, whose
+message names the JSON path of that value.  The tests compare it with ``jsonschema``'s
 ``Draft202012Validator`` on thousands of mutated documents; ``jsonschema``
 is needed only there.
 """
@@ -64,12 +67,12 @@ def write_json(obj, fh) -> None:
 
     Only the types a document holds are written: a ``dict`` with ``str``
     keys (in sorted order), a ``list``, an :class:`IntRuns` (as the list of
-    its ints), a :class:`OneShotList` (as the list of its items), a
-    :class:`Deferred` (as its value), a ``str``, an ``int`` and ``True``,
-    ``False`` and ``None``.  Anything else (a float, a tuple, a set, a
-    non-``str`` key, a subclass of :class:`IntRuns`, :class:`OneShotList`
-    or :class:`Deferred`) raises ``TypeError``, possibly after earlier
-    pieces went out."""
+    its ints), a :class:`OneShotList` (as the list of its items), a ``str``,
+    an ``int`` and ``True``, ``False`` and ``None``.  Anything else (a
+    float, a tuple, a set, a non-``str`` key, a subclass of :class:`IntRuns`
+    or :class:`OneShotList`) raises ``TypeError``, possibly after earlier
+    pieces went out.  A dict's value is read only when its key's turn
+    comes, so a value may be set while the values before it are written."""
     _emit(obj, fh.write, "\n")
     fh.write("\n")
 
@@ -150,19 +153,6 @@ class OneShotList:
         return iter(items)
 
 
-class Deferred:
-    """A value of a streamed document that is known only once the values
-    before it are written, as a report's ``summary`` is known only once its
-    last instance is out.  Whatever streams those values sets ``value``, and
-    :func:`write_json` writes it; it formats as its value, so text rendered
-    from the document reads it as it would read the ``str``."""
-
-    __slots__ = ("value",)
-
-    def __str__(self) -> str:
-        return self.value
-
-
 def _emit(value, write, newline: str) -> None:
     """Write ``value``, whose lines after the first open with ``newline``."""
     if isinstance(value, str):
@@ -196,8 +186,6 @@ def _emit(value, write, newline: str) -> None:
         _emit(list(value), write, newline)  # expanded only while it is written
     elif type(value) is OneShotList:
         _emit_items(value, write, newline)
-    elif type(value) is Deferred:
-        _emit(value.value, write, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -312,11 +300,15 @@ def validate_document(
     or ``$.reports[k].instances[j]...``."""
     path = () if sweep_index is None else ("reports", sweep_index)
     if instance_index is not None:
-        _check(document, _INSTANCE, (*path, "instances", instance_index))
+        violation = _check(document, _INSTANCE, (*path, "instances", instance_index))
     elif sweep_index is None:
-        _check(document, REPORT_SCHEMA, ())
+        violation = _check(document, REPORT_SCHEMA, ())
     else:
-        _check(document, _VERIFICATION_REPORT, path)
+        violation = _check(document, _VERIFICATION_REPORT, path)
+    if violation is not None:
+        path, message = violation
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise SchemaViolation(f"{where}: {message}", path)
 
 
 # As in jsonschema: a bool is no integer, but an integral float is one.
@@ -329,59 +321,58 @@ _TYPES = {
 }
 
 
-def _check(value, schema: dict, path: tuple) -> None:
-    """Raise :class:`SchemaViolation` unless ``value``, found at ``path``
-    (the keys and indices from the document root), matches ``schema``."""
+def _check(value, schema: dict, path: tuple):
+    """The first way in which ``value``, found at ``path`` (the keys and
+    indices from the document root), fails to match ``schema``, as the
+    ``(path, message)`` of the offending value; ``None`` when it matches."""
     for keyword, arg in schema.items():
         if keyword == "type":
             if not _TYPES[arg](value):
-                _fail(path, f"{reprlib.repr(value)} is not of type {arg!r}")
+                return path, f"{reprlib.repr(value)} is not of type {arg!r}"
         elif keyword == "const":
             if not _equal(value, arg):
-                _fail(path, f"{reprlib.repr(value)} is not {arg!r}")
+                return path, f"{reprlib.repr(value)} is not {arg!r}"
         elif keyword == "enum":
             if not any(_equal(value, each) for each in arg):
-                _fail(path, f"{reprlib.repr(value)} is not one of {arg!r}")
+                return path, f"{reprlib.repr(value)} is not one of {arg!r}"
         elif keyword == "minimum":
             if isinstance(value, (int, float)) and not isinstance(value, bool) and value < arg:
-                _fail(path, f"{reprlib.repr(value)} is less than the minimum of {arg!r}")
+                return path, f"{reprlib.repr(value)} is less than the minimum of {arg!r}"
         elif keyword == "properties":
             if isinstance(value, dict):
                 for name, subschema in arg.items():
                     if name in value:
-                        _check(value[name], subschema, (*path, name))
+                        violation = _check(value[name], subschema, (*path, name))
+                        if violation is not None:
+                            return violation
         elif keyword == "required":
             if isinstance(value, dict):
                 for name in arg:
                     if name not in value:
-                        _fail(path, f"{name!r} is a required property")
+                        return path, f"{name!r} is a required property"
         elif keyword == "additionalProperties" and arg is False:
             if isinstance(value, dict):
                 extras = value.keys() - schema.get("properties", {}).keys()
                 if extras:
                     names = ", ".join(sorted(map(repr, extras)))
-                    _fail(path, f"unexpected properties {names}")
+                    return path, f"unexpected properties {names}"
         elif keyword == "items":
             if isinstance(value, list):
                 for index, item in enumerate(value):
-                    _check(item, arg, (*path, index))
+                    violation = _check(item, arg, (*path, index))
+                    if violation is not None:
+                        return violation
         elif keyword == "oneOf":
-            violations = []
-            for subschema in arg:
-                try:
-                    _check(value, subschema, path)
-                except SchemaViolation as exc:
-                    # without its traceback, which would hold this frame, and so
-                    # the checked value, in a reference cycle
-                    violations.append(exc.with_traceback(None))
-            matches = len(arg) - len(violations)
+            violations = [_check(value, subschema, path) for subschema in arg]
+            matches = violations.count(None)
             if matches == 0:
                 # the branch that got deepest is most likely the one meant
-                raise max(violations, key=lambda exc: len(exc.path))
+                return max(violations, key=lambda violation: len(violation[0]))
             if matches > 1:
-                _fail(path, f"{reprlib.repr(value)} matches {matches} oneOf branches, not one")
+                return path, f"{reprlib.repr(value)} matches {matches} oneOf branches, not one"
         elif keyword not in ("$schema", "$id"):
             raise ValueError(f"the schema checker does not support {keyword!r}: {arg!r}")
+    return None
 
 
 def _equal(a, b) -> bool:
@@ -393,8 +384,3 @@ def _equal(a, b) -> bool:
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     return a == b
-
-
-def _fail(path: tuple, message: str):
-    where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-    raise SchemaViolation(f"{where}: {message}", path)

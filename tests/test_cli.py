@@ -207,7 +207,7 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv):
     if flag == "--n-range":
         line = f"dlv: error: --n-range expects A..B with odd integers 3 <= A <= B, got {value!r}"
     else:
-        line = f"dlv {argv[0]}: error: argument {flag}: invalid integer value: {value!r}"
+        line = f"dlv: error: argument {flag}: invalid integer value: {value!r}"
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == line
@@ -913,6 +913,50 @@ def test_schema_violation_mid_sweep_names_the_path_of_the_whole_check(capsys, mo
     whole_of_two = canonical_json(sweep_to_dict([verify(3), verify(5)]))
     opening = ',\n    {\n      "instances": '
     assert out == whole_of_two[: whole_of_two.index('\n  ],\n  "schema"')] + opening
+
+
+def test_sweep_envelope_is_checked_before_the_first_n(capsys, monkeypatch):
+    # it was never checked: a sweep-report with an extra field was written, exit 0
+    import dlv.cli as cli_mod
+
+    real = cli_mod.document
+
+    def document(kind, /, **fields):
+        if kind == "sweep-report":
+            fields["extra"] = 1
+        return real(kind, **fields)
+
+    def never(n, m, tower=None):
+        raise AssertionError("an n was verified before the sweep envelope was checked")
+
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr(cli_mod, "document", document)
+    monkeypatch.setattr(cli_mod, "verify_instance", never)
+    code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--format", "json")
+    assert (code, out) == (2, "")
+    # the deepest oneOf branch is the verification-report's, whose `const` fails
+    assert err.splitlines()[-1] == (
+        "dlv: schema self-validation failed: $.schema: 'sweep-report' is not 'verification-report'"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_clean_checked_sweep_constructs_no_schema_violation(capsys, monkeypatch, fmt):
+    # the h0 oneOf used to raise and catch one for its unmatched branch: 48 for 3..9
+    from dlv.errors import SchemaViolation
+
+    built = []
+    real_init = SchemaViolation.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    monkeypatch.setattr(SchemaViolation, "__init__", init)
+    code, out, err = run(capsys, "sweep", "--n-range", "3..9", "--format", fmt)
+    assert code == 0
+    assert built == []
 
 
 class _TrackedDict(dict):

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 import pytest
 from hypothesis import given, strategies as st
 
-from dlv.schema import Deferred, IntRuns, OneShotList, canonical_json, write_json
+from dlv.schema import IntRuns, OneShotList, canonical_json, write_json
 
 # ints past the 4,300-digit default limit of int-to-str conversion
 _LONG_INTS = st.tuples(st.integers(4_290, 4_400), st.sampled_from([1, -1])).map(
@@ -92,16 +92,6 @@ class _SubOneShot(OneShotList):
     __slots__ = ()
 
 
-class _SubDeferred(Deferred):
-    __slots__ = ()
-
-
-def _deferred(value, kind=Deferred):
-    deferred = kind()
-    deferred.value = value
-    return deferred
-
-
 class _LookAlike(Sequence):
     """Every method of an :class:`IntRuns`, but not one."""
 
@@ -120,12 +110,10 @@ _ONE_RUN = [((1, 2), (1, 0), 2)]
     [1.5, (1, 2), {1, 2}, {1: "a"}, {None: 0}, {1: 0, "a": 1}, {"a": [0, 2.0]},
      [{"a": 1}, (3,)], [{-0.0}], _SubRuns(_ONE_RUN), {"a": [_LookAlike(_ONE_RUN)]},
      range(3), {"a": IntRuns([((1.5,), (0,), 1)])}, _SubOneShot([1]),
-     {"a": OneShotList([{"b": 1.5}])}, (x for x in [1]), _deferred("s", _SubDeferred),
-     {"a": _deferred(0.5)}],
+     {"a": OneShotList([{"b": 1.5}])}, (x for x in [1])],
     ids=["float", "tuple", "set", "int-key", "none-key", "mixed-keys", "nested-float",
          "nested-tuple", "nested-set", "runs-subclass", "runs-look-alike", "range",
-         "runs-of-a-float", "one-shot-subclass", "one-shot-of-a-float", "generator",
-         "deferred-subclass", "deferred-float"],
+         "runs-of-a-float", "one-shot-subclass", "one-shot-of-a-float", "generator"],
 )
 def test_types_a_document_does_not_hold_are_refused(obj):
     with pytest.raises(TypeError):
@@ -185,14 +173,13 @@ def test_one_shot_list_is_written_once():
     assert canonical_json(OneShotList(iter([]))) == "[]\n"
 
 
-def test_a_deferred_value_is_read_only_once_the_values_before_it_are_written():
-    summary = Deferred()
+def test_a_value_set_while_the_values_before_it_are_written_is_the_one_written():
+    doc = {"instances": None, "summary": None}
 
     def instances():
         yield {"m": 1}
-        summary.value = "one instance"  # known only once the last instance is out
+        doc["summary"] = "one instance"  # known only once the last instance is out
 
-    doc = {"instances": OneShotList(instances()), "summary": summary}
+    doc["instances"] = OneShotList(instances())
     expected = {"instances": [{"m": 1}], "summary": "one instance"}
     assert canonical_json(doc) == _reference(expected)
-    assert f"summary: {summary}" == "summary: one instance"
