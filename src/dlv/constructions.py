@@ -34,7 +34,6 @@ multiplicity): transverse crossings contribute 1, ordinary nodes 2.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from .errors import (
     ArityMismatch,
@@ -43,11 +42,10 @@ from .errors import (
     NotABlowup,
     UnknownCurve,
 )
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_on, exact_int
 
 
-@dataclass(frozen=True)
-class MorphismMap:
+class MorphismMap(Value):
     """Pullback data for a blow-up or a double cover.
 
     ``source_model`` is the constructed surface (the domain of the
@@ -59,20 +57,23 @@ class MorphismMap:
     for later section splitting.
     """
 
-    kind: str  # "blowup" | "cover"
-    source_model: str
-    target_model: str
-    target_size: int
-    exceptional_labels: tuple[str, ...] = ()
-    branch_half: DivisorClass | None = None
+    __slots__ = _fields = ("kind", "source_model", "target_model", "target_size",
+                           "exceptional_labels", "branch_half")
 
-    def __post_init__(self):
-        if self.kind not in ("blowup", "cover"):
-            raise InvalidParameter(f"unknown morphism kind {self.kind!r}")
+    def __init__(self, kind: str, source_model: str, target_model: str, target_size: int,
+                 exceptional_labels: tuple[str, ...] = (),
+                 branch_half: DivisorClass | None = None):
+        if kind not in ("blowup", "cover"):
+            raise InvalidParameter(f"unknown morphism kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "source_model", source_model)
+        _set(self, "target_model", target_model)
+        _set(self, "target_size", target_size)
+        _set(self, "exceptional_labels", exceptional_labels)
+        _set(self, "branch_half", branch_half)
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(Value):
     """A point to blow up, with declared curve multiplicities.
 
     ``declared_multiplicities`` maps registered-curve labels to the
@@ -83,23 +84,21 @@ class PointSpec:
     pairs.
     """
 
-    label: str
-    declared_multiplicities: tuple[tuple[str, int], ...] = field(default_factory=dict)
+    __slots__ = _fields = ("label", "declared_multiplicities")
 
-    def __post_init__(self):
-        given = self.declared_multiplicities
+    def __init__(self, label: str, declared_multiplicities: Mapping[str, int] = {}):
+        given = declared_multiplicities  # read, never stored, so a shared default is safe
         if not isinstance(given, Mapping):
             raise InvalidParameter(
-                f"declared multiplicities at {self.label!r} must be a mapping of "
+                f"declared multiplicities at {label!r} must be a mapping of "
                 f"curve labels to ints, got {type(given).__name__}"
             )
-        for label, mult in given.items():
-            if not isinstance(label, str):
-                raise InvalidParameter(
-                    f"curve labels at {self.label!r} must be strings, got {label!r}"
-                )
-            exact_int(mult, f"multiplicity of {label!r} at {self.label!r}", 0)
-        object.__setattr__(self, "declared_multiplicities", tuple(sorted(given.items())))
+        for curve, mult in given.items():
+            if not isinstance(curve, str):
+                raise InvalidParameter(f"curve labels at {label!r} must be strings, got {curve!r}")
+            exact_int(mult, f"multiplicity of {curve!r} at {label!r}", 0)
+        _set(self, "label", label)
+        _set(self, "declared_multiplicities", tuple(sorted(given.items())))
 
     def multiplicity(self, curve_label: str) -> int:
         for label, mult in self.declared_multiplicities:
@@ -297,8 +296,7 @@ def build_abelian_product(n: int) -> SurfaceModel:
     )
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Value):
     """The four models and three morphisms the verifier works with, plus
     the named classes bound by reports and the CLI expression grammar:
 
@@ -314,15 +312,17 @@ class Tower:
     ============  =============================  ======================
     """
 
-    n: int
-    base: SurfaceModel
-    base_blowup: SurfaceModel
-    cover: SurfaceModel
-    cover_blowup: SurfaceModel
-    base_blowup_map: MorphismMap
-    cover_map: MorphismMap
-    cover_blowup_map: MorphismMap
-    classes: dict[str, DivisorClass] = field(compare=False)
+    __slots__ = _fields = ("n", "base", "base_blowup", "cover", "cover_blowup",
+                           "base_blowup_map", "cover_map", "cover_blowup_map", "classes")
+
+    def __init__(self, n: int, base: SurfaceModel, base_blowup: SurfaceModel, cover: SurfaceModel,
+                 cover_blowup: SurfaceModel, base_blowup_map: MorphismMap, cover_map: MorphismMap,
+                 cover_blowup_map: MorphismMap, classes: dict[str, DivisorClass]):
+        self._set_fields(n, base, base_blowup, cover, cover_blowup, base_blowup_map, cover_map,
+                         cover_blowup_map, classes)
+
+    def _key(self) -> tuple:  # ``classes`` is left out of ``==`` and ``hash``
+        return tuple([getattr(self, name) for name in self._fields[:-1]])
 
     @property
     def models(self) -> tuple[SurfaceModel, ...]:

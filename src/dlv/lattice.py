@@ -11,7 +11,8 @@ Models are *declared*, not derived: the Gram entries and the registry of
 classes known to be (irreducible) curves are geometric inputs, justified in
 the docstrings and comments of the code that declares them.  All values are
 immutable after construction, so the module is safe for unrestricted
-concurrent reads.
+concurrent reads: every value class derives from :class:`Value`, sets its
+``__slots__`` once, in ``__init__``, and refuses assignment and ``del``.
 
 Every tuple in the package is built from a list or from a sequence whose
 length is known, never from a generator, ``map``, ``zip``, ``filter`` or
@@ -25,14 +26,55 @@ hand a list to a constructor that makes the tuple itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from operator import add, sub
+from operator import add, attrgetter, sub
 
 from .errors import InvalidModel, InvalidParameter, MismatchedModel, UnknownCurve
 
 SURFACE_KINDS = ("abelian", "blowup", "cover", "other")
 _INT = frozenset((int,))
 _ROWS = (tuple, list)
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable value whose ``__init__`` sets each of its ``_fields``
+    once, with ``_set`` (faster, for the classes built in bulk) or
+    ``_set_fields``.  ``==``, ``hash`` and ``repr`` read those fields as a
+    frozen dataclass does; ``==`` with another class is ``NotImplemented``."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        """Set the fields named in ``_fields`` to ``values``, in order."""
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        """Fill a copy or an unpickled value from ``object``'s state of it."""
+        for part in state:
+            for name, value in (part or {}).items():
+                _set(self, name, value)
+
+    def _key(self):  # one field's value, or a tuple of them
+        return attrgetter(*self._fields)(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
 
 
 def exact_int(value, what: str, minimum: int | None = None) -> int:
@@ -55,8 +97,7 @@ def _exact_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Value):
     """An exact integer coefficient vector over a model's basis.
 
     The owning model is referenced by id; mixing classes from different
@@ -64,11 +105,11 @@ class DivisorClass:
     coercion.
     """
 
-    model_id: str
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("model_id", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _exact_ints(self.coeffs, "coefficients"))
+    def __init__(self, model_id: str, coeffs: tuple[int, ...]):
+        _set(self, "model_id", model_id)
+        _set(self, "coeffs", _exact_ints(coeffs, "coefficients"))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         check_on(other, self.model_id, len(self.coeffs))
@@ -104,31 +145,28 @@ def check_on(d, model_id: str, size: int) -> None:
         raise MismatchedModel(f"class has {len(d.coeffs)} coefficients, expected {size}")
 
 
-@dataclass(frozen=True)
-class RegisteredCurve:
+class RegisteredCurve(Value):
     """A divisor class declared to be an irreducible curve, under a label.
 
     Irreducibility is geometric input, never computed.
     """
 
-    label: str
-    cls: DivisorClass
+    __slots__ = _fields = ("label", "cls")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str):
+    def __init__(self, label: str, cls: DivisorClass):
+        if not isinstance(label, str):
             raise InvalidModel(
-                "'label' of a registered curve must be a string, "
-                f"got {type(self.label).__name__}"
+                f"'label' of a registered curve must be a string, got {type(label).__name__}"
             )
-        if not isinstance(self.cls, DivisorClass):
+        if not isinstance(cls, DivisorClass):
             raise InvalidModel(
-                "'cls' of a registered curve must be a DivisorClass, "
-                f"got {type(self.cls).__name__}"
+                f"'cls' of a registered curve must be a DivisorClass, got {type(cls).__name__}"
             )
+        _set(self, "label", label)
+        _set(self, "cls", cls)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Value):
     """A declared divisor-class lattice for one surface.
 
     Fields
@@ -152,43 +190,38 @@ class SurfaceModel:
         and the enumeration oracle to span the visible effective cone.
     """
 
-    model_id: str
-    basis: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    curves: tuple[RegisteredCurve, ...] = ()
-    kind: str = "other"
-    exceptional_labels: tuple[str, ...] = ()
-    _basis_index: dict = field(init=False, repr=False, compare=False)
-    # Built by the forcing engine at the model's first forcing; a copy made
-    # with ``replace`` starts without one.
-    _forcing_plan: object = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("model_id", "basis", "gram", "curves", "kind", "exceptional_labels")
+    # ``_forcing_plan`` is built by the forcing engine at the model's first
+    # forcing; a copy made with the constructor starts without one.
+    __slots__ = (*_fields, "_basis_index", "_forcing_plan")
 
-    def __post_init__(self):
-        if not isinstance(self.model_id, str):
-            raise InvalidModel(
-                f"'model_id' must be a string, got {type(self.model_id).__name__}"
-            )
-        for name in ("basis", "curves", "exceptional_labels"):
-            value = getattr(self, name)
+    def __init__(self, model_id: str, basis: tuple[str, ...], gram: tuple[tuple[int, ...], ...],
+                 curves: tuple[RegisteredCurve, ...] = (), kind: str = "other",
+                 exceptional_labels: tuple[str, ...] = ()):
+        if not isinstance(model_id, str):
+            raise InvalidModel(f"'model_id' must be a string, got {type(model_id).__name__}")
+        _set(self, "model_id", model_id)
+        fields = {"basis": basis, "curves": curves, "exceptional_labels": exceptional_labels}
+        for name, value in fields.items():
             if not isinstance(value, _ROWS):
                 raise InvalidModel(f"{name} must be a tuple or list, got {type(value).__name__}")
-            object.__setattr__(self, name, tuple(value))
+            _set(self, name, tuple(value))
         for label in self.basis:
             if not isinstance(label, str):
                 raise InvalidModel(f"basis labels must be strings, got {label!r} in 'basis'")
-        if not isinstance(self.gram, _ROWS) or not all(isinstance(r, _ROWS) for r in self.gram):
+        if not isinstance(gram, _ROWS) or not all(isinstance(r, _ROWS) for r in gram):
             raise InvalidModel("a Gram matrix must be a tuple or list of tuples or lists")
-        object.__setattr__(
-            self, "gram", tuple([_exact_ints(row, "Gram entries") for row in self.gram])
-        )
+        _set(self, "gram", tuple([_exact_ints(row, "Gram entries") for row in gram]))
+        _set(self, "kind", kind)
+        _set(self, "_forcing_plan", None)
 
         n = len(self.basis)
         if n == 0:
             raise InvalidModel("a surface model needs at least one basis class")
         if len(set(self.basis)) != n:
             raise InvalidModel("basis labels must be unique")
-        if self.kind not in SURFACE_KINDS:
-            raise InvalidModel(f"'kind' must be one of {SURFACE_KINDS}, got {self.kind!r}")
+        if kind not in SURFACE_KINDS:
+            raise InvalidModel(f"'kind' must be one of {SURFACE_KINDS}, got {kind!r}")
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise InvalidModel(f"Gram matrix must be {n}x{n}")
         for i in range(n):
@@ -219,7 +252,7 @@ class SurfaceModel:
                 )
             if curve.cls.is_zero:
                 raise InvalidModel(f"registered curve {curve.label!r} is the zero class")
-        if self.kind == "abelian":
+        if kind == "abelian":
             for curve in self.curves:
                 sq = self.self_int(curve.cls)
                 if sq < 0:
@@ -230,7 +263,7 @@ class SurfaceModel:
         for label in self.exceptional_labels:
             if label not in self.basis:
                 raise InvalidModel(f"exceptional label {label!r} is not a basis label")
-        object.__setattr__(self, "_basis_index", {lab: i for i, lab in enumerate(self.basis)})
+        _set(self, "_basis_index", {lab: i for i, lab in enumerate(self.basis)})
 
     # -- construction helpers -------------------------------------------
 
@@ -274,7 +307,10 @@ class SurfaceModel:
     def with_curve(self, label: str, cls: DivisorClass) -> "SurfaceModel":
         """Return a copy of the model with one more declared curve."""
         self._check_owned(cls)
-        return replace(self, curves=self.curves + (RegisteredCurve(label, cls),))
+        curves = self.curves + (RegisteredCurve(label, cls),)
+        return SurfaceModel(
+            self.model_id, self.basis, self.gram, curves, self.kind, self.exceptional_labels
+        )
 
     # -- pairing ----------------------------------------------------------
 

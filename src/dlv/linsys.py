@@ -48,7 +48,6 @@ twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
@@ -62,7 +61,7 @@ from .errors import (
     UnknownCurve,
     WrongSurfaceKind,
 )
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, check_on, exact_int
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_on, exact_int
 from .schema import IntRuns
 
 NEF_RULE_CITATION = (
@@ -84,20 +83,21 @@ UNIQUE_MEMBER_CITATION = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RuleApplication:
+class RuleApplication(Value):
     """One cited step in a certificate chain."""
 
-    rule: str
-    citation: str
-    values: dict
+    __slots__ = _fields = ("rule", "citation", "values")
+
+    def __init__(self, rule: str, citation: str, values: dict):
+        _set(self, "rule", rule)
+        _set(self, "citation", citation)
+        _set(self, "values", values)
 
     def to_dict(self) -> dict:
         return {"rule": self.rule, "citation": self.citation, "values": self.values}
 
 
-@dataclass(frozen=True)
-class NonEffectivityCertificate:
+class NonEffectivityCertificate(Value):
     """Witness that ``target`` is not effective on an abelian model.
 
     The constructor refuses a non-negative pairing value, so a certificate
@@ -108,18 +108,17 @@ class NonEffectivityCertificate:
     self-intersection.
     """
 
-    target: DivisorClass
-    witness: DivisorClass
-    witness_label: str
-    pairing_value: int
+    __slots__ = _fields = ("target", "witness", "witness_label", "pairing_value")
 
-    def __post_init__(self):
-        if self.pairing_value >= 0:
+    def __init__(self, target: DivisorClass, witness: DivisorClass, witness_label: str,
+                 pairing_value: int):
+        if pairing_value >= 0:
             raise NotCertified(
-                f"witness {self.witness_label} pairs {self.pairing_value} >= 0 with the "
+                f"witness {witness_label} pairs {pairing_value} >= 0 with the "
                 f"target: no non-effectivity conclusion (and no effectivity claim either)",
-                pairing_value=self.pairing_value,
+                pairing_value=pairing_value,
             )
+        self._set_fields(target, witness, witness_label, pairing_value)
 
     def to_rule_application(self) -> RuleApplication:
         return RuleApplication(
@@ -211,57 +210,66 @@ def blowup_section_transfer(
 # -- fixed-component forcing -------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class UniqueMember:
+class UniqueMember(Value):
     """The linear system has exactly one member, with this decomposition
     into registered curves (label, count), zero counts omitted."""
 
-    decomposition: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("decomposition",)
+
+    def __init__(self, decomposition: tuple[tuple[str, int], ...]):
+        self._set_fields(decomposition)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.decomposition)
 
 
-@dataclass(frozen=True, slots=True)
-class Inconclusive:
+class Inconclusive(Value):
     """Forcing could not pin down the system; ``reason`` is one of
     ``no forcing curve``, ``outside registry cone``, ``cap``."""
 
-    reason: str
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        self._set_fields(reason)
 
 
-@dataclass(frozen=True)
-class ForcingStep:
-    curve_label: str
-    pairing_value: int
-    residual_after: DivisorClass
+class ForcingStep(Value):
+    __slots__ = _fields = ("curve_label", "pairing_value", "residual_after")
+
+    def __init__(self, curve_label: str, pairing_value: int, residual_after: DivisorClass):
+        self._set_fields(curve_label, pairing_value, residual_after)
 
 
-@dataclass(frozen=True, slots=True)
-class ForcingRun:
+class ForcingRun(Value):
     """``repeats`` consecutive passes through one cycle of subtractions.
 
     Pass k (counting from 0) subtracts ``curves[s]`` at pairing
     ``pairings[s] + k * shifts[s]``, for each s in cycle order.
     """
 
-    curves: tuple[RegisteredCurve, ...]
-    pairings: tuple[int, ...]
-    shifts: tuple[int, ...]
-    repeats: int
+    __slots__ = _fields = ("curves", "pairings", "shifts", "repeats")
+
+    def __init__(self, curves: tuple[RegisteredCurve, ...], pairings: tuple[int, ...],
+                 shifts: tuple[int, ...], repeats: int):
+        _set(self, "curves", curves)
+        _set(self, "pairings", pairings)
+        _set(self, "shifts", shifts)
+        _set(self, "repeats", repeats)
 
 
-@dataclass(frozen=True)
-class ForcingTrace:
+class ForcingTrace(Value):
     """A forcing as its runs, in order, and its conclusion.
 
     ``steps`` expands the runs into one :class:`ForcingStep` per
     subtraction, residual included; it is built on first access.
     """
 
-    start: DivisorClass
-    runs: tuple[ForcingRun, ...]
-    conclusion: UniqueMember | Inconclusive
+    _fields = ("start", "runs", "conclusion")
+    __slots__ = (*_fields, "__dict__")  # the ``steps`` cache
+
+    def __init__(self, start: DivisorClass, runs: tuple[ForcingRun, ...],
+                 conclusion: UniqueMember | Inconclusive):
+        self._set_fields(start, runs, conclusion)
 
     def step_pairings(self) -> list[int]:
         """The pairing value of every subtraction, in order."""
@@ -319,8 +327,7 @@ def _fraction_free_inverse(
     return tuple([tuple(aug[j][n_cols:]) for j in range(n_cols)]), previous
 
 
-@dataclass(frozen=True)
-class _ForcingPlan:
+class _ForcingPlan(Value):
     """What forcing needs of one model, computed at its first forcing.
 
     ``rows[i]`` is gram @ curve_i, so a class pairs with curve i in one dot
@@ -330,10 +337,12 @@ class _ForcingPlan:
     is their fraction-free inverse, or None when they are dependent.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    meets: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
-    solver: tuple[tuple[tuple[int, ...], ...], int] | None
+    __slots__ = _fields = ("rows", "meets", "columns", "solver")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], meets: tuple[tuple[int, ...], ...],
+                 columns: tuple[tuple[int, ...], ...],
+                 solver: tuple[tuple[tuple[int, ...], ...], int] | None):
+        self._set_fields(rows, meets, columns, solver)
 
     @classmethod
     def of(cls, model: SurfaceModel) -> "_ForcingPlan":
@@ -554,20 +563,18 @@ def fixed_part_forcing(
     return ForcingTrace(start=start, runs=tuple(runs), conclusion=conclusion)
 
 
-@dataclass(frozen=True, slots=True)
-class SectionCountResult:
+class SectionCountResult(Value):
     """A section count (h0) with its certificate chain.
 
     ``value`` is None for "unknown": the engine refuses to guess.  A known
     value always travels with a non-empty chain.
     """
 
-    value: int | None
-    certificate_chain: tuple[RuleApplication, ...]
+    __slots__ = _fields = ("value", "certificate_chain")
 
-    def __post_init__(self):
-        object.__setattr__(self, "certificate_chain", tuple(self.certificate_chain))
-        if self.value is not None and not self.certificate_chain:
+    def __init__(self, value: int | None, certificate_chain: tuple[RuleApplication, ...]):
+        self._set_fields(value, tuple(certificate_chain))
+        if value is not None and not self.certificate_chain:
             raise ValueError("a known section count needs a certificate chain")
 
     @property

@@ -14,26 +14,21 @@ import contextlib
 import itertools
 import os
 import random
-from dataclasses import dataclass, replace
 
 from .constructions import PointSpec, blow_up, build_tower, double_cover, pullback
 from .errors import BoundTooLarge, RegistryTooLarge
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, exact_int
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, exact_int
 from .linsys import UniqueMember, fixed_part_forcing
 from .schema import document
 
 GRID_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    suite: str
-    trials: int
-    failures: tuple[str, ...]
-    seed: int
+class OracleReport(Value):
+    __slots__ = _fields = ("suite", "trials", "failures", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "failures", tuple(self.failures))
+    def __init__(self, suite: str, trials: int, failures: tuple[str, ...], seed: int):
+        self._set_fields(suite, trials, tuple(failures), seed)
 
     @property
     def ok(self) -> bool:
@@ -159,7 +154,9 @@ def forcing_order_check(
         target = m * base_class
         outcomes = []
         for perm in orders:
-            variant = replace(model, curves=perm)
+            variant = SurfaceModel(
+                model.model_id, model.basis, model.gram, perm, model.kind, model.exceptional_labels
+            )
             trace = fixed_part_forcing(variant, target)
             if isinstance(trace.conclusion, UniqueMember):
                 outcomes.append(("unique", tuple(sorted(trace.conclusion.decomposition))))

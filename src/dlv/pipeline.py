@@ -29,11 +29,10 @@ as JSON.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 
 from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
 from .errors import InvalidParameter, NotCertified
-from .lattice import DivisorClass, exact_int
+from .lattice import DivisorClass, Value, exact_int
 from .linsys import (
     RuleApplication,
     SectionCountResult,
@@ -74,25 +73,22 @@ def m_threshold(n: int) -> int:
     return (n * n + 3) // 4
 
 
-@dataclass(frozen=True, slots=True)
-class InstanceResult:
+class InstanceResult(Value):
     """Outcome of the certificate chain for one (n, m)."""
 
-    n: int
-    m: int
-    a_n_squared: int
-    d_n_squared: int
-    certificate_value: int
-    h0: SectionCountResult
-    status: str
+    __slots__ = _fields = ("n", "m", "a_n_squared", "d_n_squared", "certificate_value", "h0",
+                           "status")
+
+    def __init__(self, n: int, m: int, a_n_squared: int, d_n_squared: int,
+                 certificate_value: int, h0: SectionCountResult, status: str):
+        self._set_fields(n, m, a_n_squared, d_n_squared, certificate_value, h0, status)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
-    n: int
-    m_max: int
-    instances: tuple[InstanceResult, ...]
-    summary: str
+class VerificationReport(Value):
+    __slots__ = _fields = ("n", "m_max", "instances", "summary")
+
+    def __init__(self, n: int, m_max: int, instances: tuple[InstanceResult, ...], summary: str):
+        self._set_fields(n, m_max, instances, summary)
 
 
 def _transfer(
@@ -208,7 +204,9 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
     section_count = h0_unique_member(trace)
     for app in section_count.certificate_chain:
-        chain.append(replace(app, values={**app.values, "scope": "Y'-only"}) if beyond else app)
+        if beyond:
+            app = RuleApplication(app.rule, app.citation, {**app.values, "scope": "Y'-only"})
+        chain.append(app)
     if section_count.value != 1:
         problems.append("blown-up-base forcing did not conclude a unique member")
     elif trace.conclusion.as_dict() != {"F'": m, "Gamma_n'": m}:

@@ -366,7 +366,12 @@ def _check(value, schema: dict, path: tuple):
             violations = [_check(value, subschema, path) for subschema in arg]
             matches = violations.count(None)
             if matches == 0:
-                # the branch that got deepest is most likely the one meant
+                # the branch of the kind a document names is the one meant;
+                # failing that, the branch that got deepest most likely is
+                named = {"const": value.get("schema")} if isinstance(value, dict) else None
+                for subschema, violation in zip(arg, violations):
+                    if named and subschema.get("properties", {}).get("schema") == named:
+                        return violation
                 return max(violations, key=lambda violation: len(violation[0]))
             if matches > 1:
                 return path, f"{reprlib.repr(value)} matches {matches} oneOf branches, not one"

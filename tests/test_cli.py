@@ -706,17 +706,18 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def _fail_instance(monkeypatch, m, n=None):
     """Make instance ``m`` (of the report of ``n``, or of every report) ``Failed``."""
-    import dataclasses
-
     import dlv.cli as cli_mod
+    from dlv.pipeline import InstanceResult
 
     real = cli_mod.verify_instance
 
     def tampered(n_, m_, tower=None):
-        result = real(n_, m_, tower)
+        r = real(n_, m_, tower)
         if m_ == m and n in (None, n_):
-            result = dataclasses.replace(result, status="Failed")
-        return result
+            r = InstanceResult(
+                r.n, r.m, r.a_n_squared, r.d_n_squared, r.certificate_value, r.h0, "Failed"
+            )
+        return r
 
     monkeypatch.setattr(cli_mod, "verify_instance", tampered)
 
@@ -934,9 +935,9 @@ def test_sweep_envelope_is_checked_before_the_first_n(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "verify_instance", never)
     code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--format", "json")
     assert (code, out) == (2, "")
-    # the deepest oneOf branch is the verification-report's, whose `const` fails
+    # the message comes from the sweep-report's oneOf branch, the kind the document names
     assert err.splitlines()[-1] == (
-        "dlv: schema self-validation failed: $.schema: 'sweep-report' is not 'verification-report'"
+        "dlv: schema self-validation failed: $: unexpected properties 'extra'"
     )
 
 
@@ -966,8 +967,6 @@ class _TrackedDict(dict):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fmt):
     # nor an earlier group of its own instances: n = 13 has three groups
-    import dataclasses
-
     import dlv.cli as cli_mod
     from dlv.pipeline import InstanceResult, m_threshold
 
@@ -981,7 +980,15 @@ def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fm
         if (m - 1) % cli_mod._GROUP == 0 and any(ref() is not None for ref in alive):
             kept.append((n, m))
         result = real_verify(n, m, tower)
-        result = TrackedResult(*(getattr(result, f.name) for f in dataclasses.fields(result)))
+        result = TrackedResult(
+            result.n,
+            result.m,
+            result.a_n_squared,
+            result.d_n_squared,
+            result.certificate_value,
+            result.h0,
+            result.status,
+        )
         alive.append(weakref.ref(result))
         return result
 
@@ -1067,3 +1074,20 @@ def test_closed_stdout_pipe_is_a_usage_error(argv):
     assert child.wait(timeout=60) == 1
     assert err.splitlines()[-1] == "dlv: error: cannot write stdout: Broken pipe"
     assert "Exception ignored" not in err and "Traceback" not in err
+
+
+def test_cold_start_imports_no_code_introspection():
+    # importing `dataclasses` loaded all five, about a fifth of a cold set-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, dlv.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

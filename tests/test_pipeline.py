@@ -227,15 +227,26 @@ def test_sweep_text_rendering():
 
 
 def test_internal_contradiction_yields_failed():
-    import dataclasses
+    from dlv import FAILED, SurfaceModel, Tower, build_tower
 
-    from dlv import FAILED, build_tower
-
-    tower = build_tower(3)
+    t = build_tower(3)
     # tamper with one declared Gram entry so a closed form breaks
     bad_gram = ((0, 1, 5), (1, 0, 9), (5, 9, 0))
-    bad_base = dataclasses.replace(tower.base, gram=bad_gram)
-    bad_tower = dataclasses.replace(tower, base=bad_base)
+    base = t.base
+    bad_base = SurfaceModel(
+        base.model_id, base.basis, bad_gram, base.curves, base.kind, base.exceptional_labels
+    )
+    bad_tower = Tower(
+        t.n,
+        bad_base,
+        t.base_blowup,
+        t.cover,
+        t.cover_blowup,
+        t.base_blowup_map,
+        t.cover_map,
+        t.cover_blowup_map,
+        t.classes,
+    )
     result = verify_instance(3, 1, tower=bad_tower)
     assert result.status == FAILED
     assert any(

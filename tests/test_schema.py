@@ -127,6 +127,27 @@ def test_violation_names_the_deepest_path(value, path):
     assert str(info.value).startswith(path + ": ")
 
 
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        ("sweep-report", {"reports": [], "extra": 1}, "$: unexpected properties 'extra'"),
+        ("sweep-report", {}, "$: 'reports' is a required property"),
+        ("oracle-run", {"reports": [], "failures_total": -1},
+         "$.failures_total: -1 is less than the minimum of 0"),
+        ("pair-result", {"n": 3, "expr": "D.D", "kind": "pairing", "value": 1.5},
+         "$.value: 1.5 is not of type 'integer'"),
+    ],
+)
+def test_violation_comes_from_the_branch_of_the_named_kind(kind, fields, message):
+    # the verification-report branch got deepest, at its `schema` const, so
+    # a wrong sweep-report read "$.schema: 'sweep-report' is not 'verification-report'"
+    doc = document(kind, **fields)
+    with pytest.raises(SchemaViolation) as info:
+        validate_document(doc)
+    assert str(info.value) == message
+    assert not Draft202012Validator(REPORT_SCHEMA).is_valid(doc)
+
+
 def test_a_check_leaves_no_reference_cycle():
     # each failed oneOf branch kept its traceback, which held the checking
     # frames, and so the document, in a cycle until the next collection
