@@ -48,7 +48,6 @@ from .linsys import (
     ForcingTrace,
     Inconclusive,
     NonEffectivityCertificate,
-    RuleApplication,
     SectionCountResult,
     UniqueMember,
     blowup_section_transfer,
@@ -61,7 +60,6 @@ from .pipeline import (
     BEYOND_THRESHOLD,
     FAILED,
     VERIFIED,
-    InstanceResult,
     VerificationReport,
     m_threshold,
     render_report_text,

@@ -42,7 +42,6 @@ from .oracle import (
 from .pipeline import (
     FAILED,
     instance_range,
-    instance_to_dict,
     render_report_text,
     report_summary,
     verify_instance,
@@ -256,7 +255,7 @@ def _write_file(path: str, emit) -> None:
         raise
 
 
-# A report's instances are verified and converted this many at a time, then
+# A report's instances are verified this many at a time, then
 # written and dropped.  In 10-pair A/Bs of a cold `sweep 3..21` on a 2-core
 # host, one at a time lost every pair on wall time (+10%), groups of 8 to 128
 # tied with the whole report, and 16 kept the peak RSS within 0.1 MB of one
@@ -290,16 +289,14 @@ def _instances(report, tower, ms, single, statuses, sweep_index):
     """The checked document of each instance of ``ms``, in turn, counted
     by status in ``statuses``.
 
-    A group of ``_GROUP`` instances is verified, converted and checked
-    before the first of them is yielded, and dropped before the next group
-    is verified.  After the last, it sets the ``summary`` of ``report`` (of
+    A group of ``_GROUP`` instances is verified and checked before the
+    first of them is yielded, and dropped before the next group is
+    verified.  After the last, it sets the ``summary`` of ``report`` (of
     the ``single`` instance, when that is not None) and checks its other
     fields, which all come after ``instances`` in the document."""
     n = report["n"]
     for start in range(0, len(ms), _GROUP):
-        group = [
-            instance_to_dict(verify_instance(n, m, tower)) for m in ms[start : start + _GROUP]
-        ]
+        group = [verify_instance(n, m, tower) for m in ms[start : start + _GROUP]]
         for j, instance in enumerate(group, start):
             statuses[instance["status"]] += 1
             _checked(instance, sweep_index, j)

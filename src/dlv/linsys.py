@@ -83,20 +83,6 @@ UNIQUE_MEMBER_CITATION = (
 )
 
 
-class RuleApplication(Value):
-    """One cited step in a certificate chain."""
-
-    __slots__ = _fields = ("rule", "citation", "values")
-
-    def __init__(self, rule: str, citation: str, values: dict):
-        _set(self, "rule", rule)
-        _set(self, "citation", citation)
-        _set(self, "values", values)
-
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "citation": self.citation, "values": self.values}
-
-
 class NonEffectivityCertificate(Value):
     """Witness that ``target`` is not effective on an abelian model.
 
@@ -120,16 +106,16 @@ class NonEffectivityCertificate(Value):
             )
         self._set_fields(target, witness, witness_label, pairing_value)
 
-    def to_rule_application(self) -> RuleApplication:
-        return RuleApplication(
-            rule="noneffectivity-on-abelian",
-            citation=NEF_RULE_CITATION,
-            values={
+    def to_rule_application(self) -> dict:
+        return {
+            "rule": "noneffectivity-on-abelian",
+            "citation": NEF_RULE_CITATION,
+            "values": {
                 "target": list(self.target.coeffs),
                 "witness": self.witness_label,
                 "pairing": self.pairing_value,
             },
-        )
+        }
 
 
 def certify_not_effective(
@@ -572,7 +558,7 @@ class SectionCountResult(Value):
 
     __slots__ = _fields = ("value", "certificate_chain")
 
-    def __init__(self, value: int | None, certificate_chain: tuple[RuleApplication, ...]):
+    def __init__(self, value: int | None, certificate_chain: tuple[dict, ...]):
         self._set_fields(value, tuple(certificate_chain))
         if value is not None and not self.certificate_chain:
             raise ValueError("a known section count needs a certificate chain")
@@ -597,11 +583,11 @@ def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
         return SectionCountResult(
             value=1,
             certificate_chain=(
-                RuleApplication(
-                    rule="trivial-class",
-                    citation="the zero class has only the constant sections",
-                    values={"h0": 1},
-                ),
+                {
+                    "rule": "trivial-class",
+                    "citation": "the zero class has only the constant sections",
+                    "values": {"h0": 1},
+                },
             ),
         )
     values = {"start": list(trace.start.coeffs)}
@@ -609,17 +595,17 @@ def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
         values.update(decomposition=conclusion.as_dict(), step_pairings=_pairing_runs(trace))
     else:
         values.update(inconclusive=conclusion.reason, steps_taken=len(_pairing_runs(trace)))
-    forcing = RuleApplication("fixed-component-forcing", FORCING_CITATION, values)
+    forcing = {"rule": "fixed-component-forcing", "citation": FORCING_CITATION, "values": values}
     if not unique:
         return SectionCountResult(value=None, certificate_chain=(forcing,))
     return SectionCountResult(
         value=1,
         certificate_chain=(
             forcing,
-            RuleApplication(
-                rule="unique-member-section-count",
-                citation=UNIQUE_MEMBER_CITATION,
-                values={"h0": 1, "decomposition": conclusion.as_dict()},
-            ),
+            {
+                "rule": "unique-member-section-count",
+                "citation": UNIQUE_MEMBER_CITATION,
+                "values": {"h0": 1, "decomposition": conclusion.as_dict()},
+            },
         ),
     )

@@ -34,8 +34,6 @@ from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullbac
 from .errors import InvalidParameter, NotCertified
 from .lattice import DivisorClass, Value, exact_int
 from .linsys import (
-    RuleApplication,
-    SectionCountResult,
     blowup_section_transfer,
     certify_not_effective,
     cover_section_split,
@@ -73,49 +71,43 @@ def m_threshold(n: int) -> int:
     return (n * n + 3) // 4
 
 
-class InstanceResult(Value):
-    """Outcome of the certificate chain for one (n, m)."""
-
-    __slots__ = _fields = ("n", "m", "a_n_squared", "d_n_squared", "certificate_value", "h0",
-                           "status")
-
-    def __init__(self, n: int, m: int, a_n_squared: int, d_n_squared: int,
-                 certificate_value: int, h0: SectionCountResult, status: str):
-        self._set_fields(n, m, a_n_squared, d_n_squared, certificate_value, h0, status)
-
-
 class VerificationReport(Value):
+    """The report of one n; ``instances`` are instance documents, as
+    :func:`verify_instance` returns them."""
+
     __slots__ = _fields = ("n", "m_max", "instances", "summary")
 
-    def __init__(self, n: int, m_max: int, instances: tuple[InstanceResult, ...], summary: str):
+    def __init__(self, n: int, m_max: int, instances: tuple[dict, ...], summary: str):
         self._set_fields(n, m_max, instances, summary)
 
 
 def _transfer(
-    chain: list[RuleApplication], morphism: MorphismMap, d: DivisorClass, citation: str
+    chain: list[dict], morphism: MorphismMap, d: DivisorClass, citation: str
 ) -> tuple[DivisorClass, list[int]]:
     """Apply the blow-up section transfer to ``d`` and record it in ``chain``."""
     down, orders = blowup_section_transfer(morphism, d)
     chain.append(
-        RuleApplication(
-            rule="blowup-section-transfer",
-            citation=citation,
-            values={
+        {
+            "rule": "blowup-section-transfer",
+            "citation": citation,
+            "values": {
                 "surface": morphism.source_model,
                 "class": list(d.coeffs),
                 "downstairs_class": list(down.coeffs),
                 "vanishing_orders": list(orders),
             },
-        )
+        }
     )
     return down, orders
 
 
-def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResult:
-    """Run the five stages of the certificate chain for one (n, m).
+def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
+    """Run the five stages of the certificate chain for one (n, m) and
+    return the instance document that a ``verification-report`` lists.
 
-    Each stage applies its rule, appends the rule application to the chain
-    and checks the computed values against their closed forms.
+    Each stage applies its rule, appends the rule application to the
+    document's ``certificate_chain`` and checks the computed values against
+    their closed forms.
 
     ``tower`` may be supplied to reuse the constructed models across an m
     sweep; it must have been built for the same n.
@@ -130,7 +122,7 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     m_member = m * classes["A"]
     m_one_dim = m * classes["L"]
     orders = [2 * m] * 3
-    chain: list[RuleApplication] = []
+    chain: list[dict] = []
     problems: list[str] = []
 
     # Stage 1: transfer m*D from the top surface down to the cover.
@@ -145,17 +137,17 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     # Stage 2: split the pulled-back sections over the cover.
     first, second = cover_section_split(tower.cover_map, m_member)
     chain.append(
-        RuleApplication(
-            rule="cover-section-split",
-            citation=(
+        {
+            "rule": "cover-section-split",
+            "citation": (
                 "for the degree-2 cover branched in |2R|, sections of the "
                 "pullback of M split as sections of M plus sections of M - R"
             ),
-            values={
+            "values": {
                 "M": list(first.coeffs),
                 "M_minus_R": list(second.coeffs),
             },
-        )
+        }
     )
     if first != m_member or second != m_member - classes["R"]:
         problems.append("cover split summands are not (M, M - R)")
@@ -166,18 +158,18 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     except NotCertified as refusal:
         certificate_value = refusal.pairing_value
         chain.append(
-            RuleApplication(
-                rule="noneffectivity-witness-failed",
-                citation=(
+            {
+                "rule": "noneffectivity-witness-failed",
+                "citation": (
                     "the nef witness pairs non-negatively with M - R, so the "
                     "certificate refuses; beyond this point no section-count "
                     "claim is made for the top surface"
                 ),
-                values={
+                "values": {
                     "witness": "Gamma_n",
                     "pairing": certificate_value,
                 },
-            )
+            }
         )
     else:
         certificate_value = certificate.pairing_value
@@ -205,13 +197,13 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
     section_count = h0_unique_member(trace)
     for app in section_count.certificate_chain:
         if beyond:
-            app = RuleApplication(app.rule, app.citation, {**app.values, "scope": "Y'-only"})
+            app = {**app, "values": {**app["values"], "scope": "Y'-only"}}
         chain.append(app)
     if section_count.value != 1:
         problems.append("blown-up-base forcing did not conclude a unique member")
     elif trace.conclusion.as_dict() != {"F'": m, "Gamma_n'": m}:
         problems.append(f"unexpected decomposition {trace.conclusion.as_dict()}")
-    status, h0 = (BEYOND_THRESHOLD, None) if beyond else (VERIFIED, section_count.value)
+    status, h0 = (BEYOND_THRESHOLD, "unknown") if beyond else (VERIFIED, section_count.value)
 
     a_sq = tower.base.self_int(classes["A"])
     d_sq = tower.cover_blowup.self_int(classes["D"])
@@ -222,23 +214,23 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> InstanceResul
 
     if problems:
         chain.append(
-            RuleApplication(
-                rule="internal-check-failed",
-                citation="computed values contradict the closed forms; implementation bug",
-                values={"details": problems},
-            )
+            {
+                "rule": "internal-check-failed",
+                "citation": "computed values contradict the closed forms; implementation bug",
+                "values": {"details": problems},
+            }
         )
-        status, h0 = FAILED, None
+        status, h0 = FAILED, "unknown"
 
-    return InstanceResult(
-        n=n,
-        m=m,
-        a_n_squared=a_sq,
-        d_n_squared=d_sq,
-        certificate_value=certificate_value,
-        h0=SectionCountResult(value=h0, certificate_chain=chain),
-        status=status,
-    )
+    return {
+        "m": m,
+        "a_n_squared": a_sq,
+        "d_n_squared": d_sq,
+        "certificate_value": certificate_value,
+        "h0": h0,
+        "status": status,
+        "certificate_chain": chain,
+    }
 
 
 def instance_range(n: int, m_max: int | None = None) -> range:
@@ -285,23 +277,11 @@ def verify(n: int, m_max: int | None = None) -> VerificationReport:
     ms = instance_range(n, m_max)
     tower = build_tower(n)
     instances = tuple([verify_instance(n, m, tower=tower) for m in ms])
-    summary = report_summary(n, Counter(r.status for r in instances))
+    summary = report_summary(n, Counter(r["status"] for r in instances))
     return VerificationReport(n=n, m_max=len(ms) - 1, instances=instances, summary=summary)
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def instance_to_dict(result: InstanceResult) -> dict:
-    return {
-        "m": result.m,
-        "a_n_squared": result.a_n_squared,
-        "d_n_squared": result.d_n_squared,
-        "certificate_value": result.certificate_value,
-        "h0": result.h0.value if result.h0.is_known else "unknown",
-        "status": result.status,
-        "certificate_chain": [app.to_dict() for app in result.h0.certificate_chain],
-    }
 
 
 def report_to_dict(report: VerificationReport) -> dict:
@@ -309,7 +289,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "verification-report",
         n=report.n,
         m_max=report.m_max,
-        instances=[instance_to_dict(r) for r in report.instances],
+        instances=list(report.instances),
         summary=report.summary,
     )
 

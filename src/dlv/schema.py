@@ -92,8 +92,9 @@ class IntRuns(Sequence):
 
     Forcing records its step pairings so, in memory that does not grow with
     their number; :func:`write_json` writes one as the list of its ints,
-    expanding it only while it writes it.  It equals a list of the same
-    ints, and indexes, slices and iterates like one.
+    expanding it only while it writes it.  It equals a list or an
+    :class:`IntRuns` of the same ints, and indexes, slices and iterates
+    like a list.
     """
 
     __slots__ = ("_runs", "_length")
@@ -114,8 +115,8 @@ class IntRuns(Sequence):
         return list(self)[index]
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return self._length == len(other) and list(self) == other
+        if isinstance(other, (list, IntRuns)):
+            return self._length == len(other) and list(self) == list(other)
         return NotImplemented
 
 

@@ -571,16 +571,16 @@ def _tamper_instance(monkeypatch, m, n=None):
     of ``n``, or of every report) a status the schema does not allow."""
     import dlv.cli as cli_mod
 
-    real = cli_mod.instance_to_dict
+    real = cli_mod.verify_instance
 
-    def tampered(result):
-        doc = real(result)
-        if result.m == m and n in (None, result.n):
+    def tampered(n_, m_, tower=None):
+        doc = real(n_, m_, tower)
+        if m_ == m and n in (None, n_):
             doc["status"] = "Maybe"
         return doc
 
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
-    monkeypatch.setattr(cli_mod, "instance_to_dict", tampered)
+    monkeypatch.setattr(cli_mod, "verify_instance", tampered)
 
 
 def test_schema_violation_creates_no_out_file(tmp_path, capsys, monkeypatch):
@@ -707,16 +707,13 @@ def test_unknown_flag_is_usage_error(capsys):
 def _fail_instance(monkeypatch, m, n=None):
     """Make instance ``m`` (of the report of ``n``, or of every report) ``Failed``."""
     import dlv.cli as cli_mod
-    from dlv.pipeline import InstanceResult
 
     real = cli_mod.verify_instance
 
     def tampered(n_, m_, tower=None):
         r = real(n_, m_, tower)
         if m_ == m and n in (None, n_):
-            r = InstanceResult(
-                r.n, r.m, r.a_n_squared, r.d_n_squared, r.certificate_value, r.h0, "Failed"
-            )
+            r["status"] = "Failed"
         return r
 
     monkeypatch.setattr(cli_mod, "verify_instance", tampered)
@@ -968,43 +965,25 @@ class _TrackedDict(dict):
 def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fmt):
     # nor an earlier group of its own instances: n = 13 has three groups
     import dlv.cli as cli_mod
-    from dlv.pipeline import InstanceResult, m_threshold
+    from dlv.pipeline import m_threshold
 
-    class TrackedResult(InstanceResult):
-        __slots__ = ("__weakref__",)
-
-    real_verify, real_to_dict = cli_mod.verify_instance, cli_mod.instance_to_dict
+    real_verify = cli_mod.verify_instance
     alive, kept = [], []  # weak references; the (n, m) whose group found one alive
 
     def verify_instance(n, m, tower=None):
         if (m - 1) % cli_mod._GROUP == 0 and any(ref() is not None for ref in alive):
             kept.append((n, m))
-        result = real_verify(n, m, tower)
-        result = TrackedResult(
-            result.n,
-            result.m,
-            result.a_n_squared,
-            result.d_n_squared,
-            result.certificate_value,
-            result.h0,
-            result.status,
-        )
-        alive.append(weakref.ref(result))
-        return result
-
-    def instance_to_dict(result):
-        doc = _TrackedDict(real_to_dict(result))
+        doc = _TrackedDict(real_verify(n, m, tower))
         alive.append(weakref.ref(doc))
         return doc
 
     monkeypatch.setattr(cli_mod, "verify_instance", verify_instance)
-    monkeypatch.setattr(cli_mod, "instance_to_dict", instance_to_dict)
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")  # the checker keeps nothing either
     code, out, err = run(capsys, "sweep", "--n-range", "3..13", "--format", fmt)
     assert code == 0
     assert m_threshold(13) + 1 > cli_mod._GROUP
-    # text is rendered from each instance's document too
-    assert len(alive) == 2 * sum(m_threshold(n) + 1 for n in range(3, 14, 2))
+    # one document per instance, written as JSON or rendered as text
+    assert len(alive) == sum(m_threshold(n) + 1 for n in range(3, 14, 2))
     assert kept == []
 
 

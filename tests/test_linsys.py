@@ -391,7 +391,7 @@ def test_h0_of_forced_multiple(tower_3):
     result = h0_unique_member(trace)
     assert result.value == 1
     assert result.is_known
-    rules = [app.rule for app in result.certificate_chain]
+    rules = [app["rule"] for app in result.certificate_chain]
     assert "fixed-component-forcing" in rules
     assert "unique-member-section-count" in rules
 
@@ -424,7 +424,7 @@ def test_the_forcing_record_keeps_the_runs_of_its_pairings(n):
     tower = build_tower(n)
     for m in range(1, m_threshold(n) + 2):
         trace = fixed_part_forcing(tower.base_blowup, m * tower.classes["L"])
-        record = h0_unique_member(trace).certificate_chain[0].values["step_pairings"]
+        record = h0_unique_member(trace).certificate_chain[0]["values"]["step_pairings"]
         expected = trace.step_pairings()
         assert type(record) is IntRuns and type(expected) is list
         assert len(record._runs) == len(trace.runs) <= 5
@@ -437,6 +437,6 @@ def test_the_forcing_record_keeps_the_runs_of_its_pairings(n):
 def test_an_inconclusive_record_counts_its_steps_without_pairings(tower_3):
     trace = fixed_part_forcing(tower_3.base_blowup, 5 * tower_3.classes["L"], step_cap=3)
     (record,) = h0_unique_member(trace).certificate_chain
-    assert record.values == {
+    assert record["values"] == {
         "start": list(trace.start.coeffs), "inconclusive": "cap", "steps_taken": 3
     }

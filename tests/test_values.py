@@ -23,19 +23,17 @@ from dlv import (
     fixed_part_forcing,
     forcing_order_check,
     verify,
-    verify_instance,
 )
 from dlv.linsys import (
     ForcingRun,
     ForcingStep,
     ForcingTrace,
-    RuleApplication,
     SectionCountResult,
     UniqueMember,
     _ForcingPlan,
     h0_unique_member,
 )
-from dlv.pipeline import InstanceResult, VerificationReport
+from dlv.pipeline import VerificationReport
 
 
 def _values():
@@ -50,7 +48,6 @@ def _values():
         MorphismMap: tower.cover_map,
         PointSpec: PointSpec("p", {"G_n": 2, "F": 1}),
         Tower: tower,
-        RuleApplication: count.certificate_chain[0],
         NonEffectivityCertificate: NonEffectivityCertificate(
             classes["A"], classes["G_n"], "G_n", -1
         ),
@@ -62,7 +59,6 @@ def _values():
         _ForcingPlan: tower.base_blowup._forcing_plan,
         SectionCountResult: count,
         OracleReport: OracleReport("identity", 2, ["a failure"], 7),
-        InstanceResult: verify_instance(3, 1, tower),
         VerificationReport: verify(3),
     }
 
@@ -102,7 +98,6 @@ FIELDS = {
         ),
         ("classes",),
     ),
-    RuleApplication: (("rule", "citation", "values"), ()),
     NonEffectivityCertificate: (("target", "witness", "witness_label", "pairing_value"), ()),
     UniqueMember: (("decomposition",), ()),
     Inconclusive: (("reason",), ()),
@@ -112,16 +107,12 @@ FIELDS = {
     _ForcingPlan: (("rows", "meets", "columns", "solver"), ()),
     SectionCountResult: (("value", "certificate_chain"), ()),
     OracleReport: (("suite", "trials", "failures", "seed"), ()),
-    InstanceResult: (
-        ("n", "m", "a_n_squared", "d_n_squared", "certificate_value", "h0", "status"),
-        (),
-    ),
     VerificationReport: (("n", "m_max", "instances", "summary"), ()),
 }
 
 
 def test_every_value_class_is_covered():
-    assert len(FIELDS) == 18
+    assert len(FIELDS) == 16
     assert set(_values()) == set(FIELDS)
 
 
@@ -165,11 +156,9 @@ def test_value_semantics(cls):
         expected = hash(value)
         assert hash(same) == expected
     assert copy_module.copy(value) == value
-    # a deep copy of an IntRuns, in the values of a rule application, is
-    # another object that does not compare equal to it
     for copy in (copy_module.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(copy) is cls
-        assert expected is None or copy == value
+        assert copy == value
     for name in names:
         other = _clone(value, names, **{name: object()})
         if name in ignored:

@@ -141,6 +141,10 @@ def test_int_runs_read_as_the_list_they_stand_for(runs):
             ints[outside]
     assert ints == expected and expected == ints and not ints != expected
     assert ints != expected + [0] and ints != tuple(expected)
+    # another IntRuns of the same ints is equal, however its runs split them
+    singles = IntRuns([((value,), (0,), 1) for value in expected])
+    assert ints == IntRuns(runs) and ints == singles and not ints != singles
+    assert ints != IntRuns([*runs, ((0,), (0,), 1)])
     assert list(reversed(ints)) == expected[::-1]
 
 
