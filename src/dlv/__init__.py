@@ -19,7 +19,6 @@ from .errors import (
     NotABlowup,
     NotACover,
     NotAStrictTransformShape,
-    NotCertified,
     RegistryTooLarge,
     SchemaViolation,
     UnknownCurve,
@@ -47,8 +46,6 @@ from .linsys import (
     ForcingStep,
     ForcingTrace,
     Inconclusive,
-    NonEffectivityCertificate,
-    SectionCountResult,
     UniqueMember,
     blowup_section_transfer,
     certify_not_effective,

@@ -47,19 +47,6 @@ class WrongSurfaceKind(DivisorLatticeError):
     """An operation requires a specific surface kind (e.g. abelian)."""
 
 
-class NotCertified(DivisorLatticeError):
-    """The requested certificate cannot be issued.
-
-    Raised by the non-effectivity rule when the witness pairing is
-    non-negative.  This means the witness proves nothing; it is *not*
-    evidence of effectivity.  Carries the offending pairing value.
-    """
-
-    def __init__(self, message: str, pairing_value: int | None = None):
-        super().__init__(message)
-        self.pairing_value = pairing_value
-
-
 class SchemaViolation(DivisorLatticeError):
     """A JSON document does not match ``REPORT_SCHEMA``.
 

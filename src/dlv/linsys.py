@@ -1,8 +1,10 @@
 """Effectivity certificates and section-count accounting.
 
 Four cited rules turn lattice arithmetic into statements about spaces of
-sections, each producing a value object that records exactly what was
-checked:
+sections.  The non-effectivity rule and the forcing's section count each
+return their value together with the rule application that records it, a
+``{"rule", "citation", "values"}`` dict of exactly what was checked; the
+two section transfers return the classes that their caller records:
 
 * the abelian-surface non-effectivity rule: every effective class on an
   abelian surface is nef (such a surface carries no negative curves), so a
@@ -41,9 +43,9 @@ trace stores these runs; its steps, residuals included, are expanded only
 on request.  The tests hold this engine to a one-step-at-a-time
 reference, ``tests/stepwise_reference.py``.
 
-All functions are pure and all results immutable; concurrent use is safe
-(the plan and the expanded steps are caches, and a race only builds one
-twice).
+All functions are pure and all value objects immutable; concurrent use is
+safe (the plan and the expanded steps are caches, and a race only builds
+one twice).
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .errors import (
     NotABlowup,
     NotACover,
     NotAStrictTransformShape,
-    NotCertified,
     UnknownCurve,
     WrongSurfaceKind,
 )
@@ -69,6 +70,12 @@ NEF_RULE_CITATION = (
     "negative self-intersection), so a strictly negative pairing with an "
     "irreducible curve of non-negative self-intersection certifies the "
     "class is not effective"
+)
+
+WITNESS_FAILED_CITATION = (
+    "the nef witness pairs non-negatively with M - R, so the "
+    "certificate refuses; beyond this point no section-count "
+    "claim is made for the top surface"
 )
 
 FORCING_CITATION = (
@@ -83,50 +90,16 @@ UNIQUE_MEMBER_CITATION = (
 )
 
 
-class NonEffectivityCertificate(Value):
-    """Witness that ``target`` is not effective on an abelian model.
-
-    The constructor refuses a non-negative pairing value, so a certificate
-    object existing is itself the proof obligation.  The remaining
-    preconditions (abelian model, registered witness) are checked by
-    :func:`certify_not_effective`, the only intended producer; an abelian
-    model already refuses a registered curve of negative
-    self-intersection.
-    """
-
-    __slots__ = _fields = ("target", "witness", "witness_label", "pairing_value")
-
-    def __init__(self, target: DivisorClass, witness: DivisorClass, witness_label: str,
-                 pairing_value: int):
-        if pairing_value >= 0:
-            raise NotCertified(
-                f"witness {witness_label} pairs {pairing_value} >= 0 with the "
-                f"target: no non-effectivity conclusion (and no effectivity claim either)",
-                pairing_value=pairing_value,
-            )
-        self._set_fields(target, witness, witness_label, pairing_value)
-
-    def to_rule_application(self) -> dict:
-        return {
-            "rule": "noneffectivity-on-abelian",
-            "citation": NEF_RULE_CITATION,
-            "values": {
-                "target": list(self.target.coeffs),
-                "witness": self.witness_label,
-                "pairing": self.pairing_value,
-            },
-        }
-
-
 def certify_not_effective(
     model: SurfaceModel, d: DivisorClass, witness: DivisorClass
-) -> NonEffectivityCertificate:
-    """Certify that ``d`` is not effective, using a registered curve as
-    the nef witness.
+) -> tuple[int, dict]:
+    """Apply the nef rule to ``d`` with a registered curve as the witness.
 
-    Raises :class:`NotCertified` when the pairing is non-negative: the
-    witness then proves nothing (in particular it does *not* prove
-    effectivity).  The exception carries the pairing value.
+    Returns ``(pairing, record)``.  A strictly negative pairing certifies
+    that ``d`` is not effective, recorded as ``noneffectivity-on-abelian``;
+    otherwise the record is the ``noneffectivity-witness-failed`` refusal:
+    the witness proves nothing (in particular it does *not* prove
+    effectivity).
     """
     if model.kind != "abelian":
         raise WrongSurfaceKind(
@@ -142,10 +115,15 @@ def certify_not_effective(
     if label is None:
         raise UnknownCurve("the witness must be a registered curve of the model")
     # an abelian model registers no curve of negative self-intersection, so
-    # the witness is nef and the certificate refuses a non-negative pairing
-    return NonEffectivityCertificate(
-        target=d, witness=witness, witness_label=label, pairing_value=model.pair(d, witness)
-    )
+    # the witness is nef and only a strictly negative pairing certifies
+    pairing = model.pair(d, witness)
+    if pairing < 0:
+        rule, citation = "noneffectivity-on-abelian", NEF_RULE_CITATION
+        values = {"target": list(d.coeffs), "witness": label, "pairing": pairing}
+    else:
+        rule, citation = "noneffectivity-witness-failed", WITNESS_FAILED_CITATION
+        values = {"witness": label, "pairing": pairing}
+    return pairing, {"rule": rule, "citation": citation, "values": values}
 
 
 def cover_section_split(
@@ -549,47 +527,21 @@ def fixed_part_forcing(
     return ForcingTrace(start=start, runs=tuple(runs), conclusion=conclusion)
 
 
-class SectionCountResult(Value):
-    """A section count (h0) with its certificate chain.
-
-    ``value`` is None for "unknown": the engine refuses to guess.  A known
-    value always travels with a non-empty chain.
-    """
-
-    __slots__ = _fields = ("value", "certificate_chain")
-
-    def __init__(self, value: int | None, certificate_chain: tuple[dict, ...]):
-        self._set_fields(value, tuple(certificate_chain))
-        if value is not None and not self.certificate_chain:
-            raise ValueError("a known section count needs a certificate chain")
-
-    @property
-    def is_known(self) -> bool:
-        return self.value is not None
-
-
-def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
+def h0_unique_member(trace: ForcingTrace) -> tuple[int | None, list[dict]]:
     """Convert a forcing trace into a section count, with the forcing
     recorded as a cited rule application.
 
-    Returns 1 when the trace concludes ``UniqueMember`` (for the zero
-    class: constants only), and unknown otherwise.  The record's
+    Returns ``(h0, records)``: h0 is 1 when the trace concludes
+    ``UniqueMember`` (for the zero class: constants only), and None, for
+    unknown, otherwise; the engine refuses to guess.  The forcing record's
     ``step_pairings`` is an :class:`~dlv.schema.IntRuns` over the trace's
     runs, so it stays small however many subtractions it stands for.
     """
     conclusion = trace.conclusion
     unique = isinstance(conclusion, UniqueMember)
     if unique and trace.start.is_zero:
-        return SectionCountResult(
-            value=1,
-            certificate_chain=(
-                {
-                    "rule": "trivial-class",
-                    "citation": "the zero class has only the constant sections",
-                    "values": {"h0": 1},
-                },
-            ),
-        )
+        citation = "the zero class has only the constant sections"
+        return 1, [{"rule": "trivial-class", "citation": citation, "values": {"h0": 1}}]
     values = {"start": list(trace.start.coeffs)}
     if unique:
         values.update(decomposition=conclusion.as_dict(), step_pairings=_pairing_runs(trace))
@@ -597,15 +549,10 @@ def h0_unique_member(trace: ForcingTrace) -> SectionCountResult:
         values.update(inconclusive=conclusion.reason, steps_taken=len(_pairing_runs(trace)))
     forcing = {"rule": "fixed-component-forcing", "citation": FORCING_CITATION, "values": values}
     if not unique:
-        return SectionCountResult(value=None, certificate_chain=(forcing,))
-    return SectionCountResult(
-        value=1,
-        certificate_chain=(
-            forcing,
-            {
-                "rule": "unique-member-section-count",
-                "citation": UNIQUE_MEMBER_CITATION,
-                "values": {"h0": 1, "decomposition": conclusion.as_dict()},
-            },
-        ),
-    )
+        return None, [forcing]
+    count = {
+        "rule": "unique-member-section-count",
+        "citation": UNIQUE_MEMBER_CITATION,
+        "values": {"h0": 1, "decomposition": conclusion.as_dict()},
+    }
+    return 1, [forcing, count]

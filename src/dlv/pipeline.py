@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
-from .errors import InvalidParameter, NotCertified
+from .errors import InvalidParameter
 from .lattice import DivisorClass, Value, exact_int
 from .linsys import (
     blowup_section_transfer,
@@ -153,27 +153,8 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
         problems.append("cover split summands are not (M, M - R)")
 
     # Stage 3: the second summand is not effective below the threshold.
-    try:
-        certificate = certify_not_effective(tower.base, second, classes["G_n"])
-    except NotCertified as refusal:
-        certificate_value = refusal.pairing_value
-        chain.append(
-            {
-                "rule": "noneffectivity-witness-failed",
-                "citation": (
-                    "the nef witness pairs non-negatively with M - R, so the "
-                    "certificate refuses; beyond this point no section-count "
-                    "claim is made for the top surface"
-                ),
-                "values": {
-                    "witness": "Gamma_n",
-                    "pairing": certificate_value,
-                },
-            }
-        )
-    else:
-        certificate_value = certificate.pairing_value
-        chain.append(certificate.to_rule_application())
+    certificate_value, record = certify_not_effective(tower.base, second, classes["G_n"])
+    chain.append(record)
     expected_certificate = 4 * (m - 1) - n * n
     if certificate_value != expected_certificate:
         problems.append(
@@ -194,16 +175,16 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
     # spot check, its records carry the scope Y'-only, and no top-surface h0
     # is reported.
     trace = fixed_part_forcing(tower.base_blowup, m_one_dim)
-    section_count = h0_unique_member(trace)
-    for app in section_count.certificate_chain:
-        if beyond:
-            app = {**app, "values": {**app["values"], "scope": "Y'-only"}}
-        chain.append(app)
-    if section_count.value != 1:
+    h0, records = h0_unique_member(trace)
+    if beyond:
+        for app in records:
+            app["values"]["scope"] = "Y'-only"
+    chain += records
+    if h0 != 1:
         problems.append("blown-up-base forcing did not conclude a unique member")
     elif trace.conclusion.as_dict() != {"F'": m, "Gamma_n'": m}:
         problems.append(f"unexpected decomposition {trace.conclusion.as_dict()}")
-    status, h0 = (BEYOND_THRESHOLD, "unknown") if beyond else (VERIFIED, section_count.value)
+    status, h0 = (BEYOND_THRESHOLD, "unknown") if beyond else (VERIFIED, h0)
 
     a_sq = tower.base.self_int(classes["A"])
     d_sq = tower.cover_blowup.self_int(classes["D"])

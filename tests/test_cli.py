@@ -230,6 +230,7 @@ def test_sweep_json_digest_is_pinned(tmp_path):
     out = tmp_path / "sweep.json"
     for n_range, digest in [
         ("3..9", "c8d6f797eb6326a8b34ce9bc127cebce499e70ce0af669f4c31ece64002c6150"),
+        ("3..21", "43ed958b73dee23840437645ed052fd511495b8292139ae0c6c81f969af8bc4e"),
         ("3..31", "05599e51b38da4a65e094de654ce12becf665ebf30041455f16a37472467fde1"),
     ]:
         assert main(["sweep", "--n-range", n_range, "--format", "json", "--out", str(out)]) == 0

@@ -9,10 +9,8 @@ from dlv import (
     Inconclusive,
     InvalidParameter,
     MismatchedModel,
-    NonEffectivityCertificate,
     NotACover,
     NotAStrictTransformShape,
-    NotCertified,
     RegisteredCurve,
     SurfaceModel,
     UniqueMember,
@@ -27,7 +25,12 @@ from dlv import (
     m_threshold,
     pullback,
 )
-from dlv.linsys import _first_all_negative, _ForcingPlan
+from dlv.linsys import (
+    NEF_RULE_CITATION,
+    WITNESS_FAILED_CITATION,
+    _first_all_negative,
+    _ForcingPlan,
+)
 from dlv.schema import IntRuns
 from stepwise_reference import _solve_exact, stepwise_forcing
 
@@ -38,27 +41,38 @@ from stepwise_reference import _solve_exact, stepwise_forcing
 def test_certificate_below_threshold(tower_5):
     base = tower_5.classes
     target = 3 * base["A"] - base["R"]
-    cert = certify_not_effective(tower_5.base, target, base["G_n"])
-    assert cert.pairing_value == 4 * (3 - 1) - 25  # == -17
-    assert cert.pairing_value == -17
-    assert cert.witness_label == "Gamma_n"
+    pairing, record = certify_not_effective(tower_5.base, target, base["G_n"])
+    assert pairing == 4 * (3 - 1) - 25  # == -17
+    assert record == {
+        "rule": "noneffectivity-on-abelian",
+        "citation": NEF_RULE_CITATION,
+        "values": {"target": list(target.coeffs), "witness": "Gamma_n", "pairing": -17},
+    }
 
 
 def test_certificate_refused_at_boundary(tower_3):
     base = tower_3.classes
     target = 4 * base["A"] - base["R"]
-    with pytest.raises(NotCertified) as excinfo:
-        certify_not_effective(tower_3.base, target, base["G_n"])
-    assert excinfo.value.pairing_value == 4 * (4 - 1) - 9  # == 3, the boundary
-    assert excinfo.value.pairing_value == 3
-    assert str(excinfo.value).startswith("witness Gamma_n pairs 3 >= 0")
+    pairing, record = certify_not_effective(tower_3.base, target, base["G_n"])
+    assert pairing == 4 * (4 - 1) - 9  # == 3, the boundary
+    assert record == {
+        "rule": "noneffectivity-witness-failed",
+        "citation": WITNESS_FAILED_CITATION,
+        "values": {"witness": "Gamma_n", "pairing": 3},
+    }
+    # a pairing of exactly 0 certifies nothing either
+    pairing, record = certify_not_effective(tower_3.base, base["G_n"], base["G_n"])
+    assert pairing == 0
+    assert record["rule"] == "noneffectivity-witness-failed"
+    assert record["values"] == {"witness": "Gamma_n", "pairing": 0}
 
 
 def test_certificate_for_negated_fiber(tower_3):
-    cert = certify_not_effective(
+    pairing, record = certify_not_effective(
         tower_3.base, -tower_3.classes["F"], tower_3.classes["G_n"]
     )
-    assert cert.pairing_value == -4
+    assert pairing == record["values"]["pairing"] == -4
+    assert record["rule"] == "noneffectivity-on-abelian"
 
 
 def test_certificate_needs_abelian_model(tower_3):
@@ -71,15 +85,6 @@ def test_certificate_needs_registered_witness(tower_3):
     strange = tower_3.base.divisor_class((1, 1, 1))
     with pytest.raises(UnknownCurve):
         certify_not_effective(tower_3.base, -tower_3.classes["F"], strange)
-
-
-def test_certificate_constructor_refuses_nonnegative_pairing(tower_3):
-    f = tower_3.classes["F"]
-    kernel = tower_3.classes["G_n"]
-    with pytest.raises(NotCertified):
-        NonEffectivityCertificate(
-            target=f, witness=kernel, witness_label="Gamma_n", pairing_value=0
-        )
 
 
 # -- cover section split ------------------------------------------------------
@@ -388,27 +393,25 @@ def test_cone_solve_matches_rational_elimination():
 
 def test_h0_of_forced_multiple(tower_3):
     trace = fixed_part_forcing(tower_3.base_blowup, 3 * tower_3.classes["L"])
-    result = h0_unique_member(trace)
-    assert result.value == 1
-    assert result.is_known
-    rules = [app["rule"] for app in result.certificate_chain]
-    assert "fixed-component-forcing" in rules
-    assert "unique-member-section-count" in rules
+    h0, records = h0_unique_member(trace)
+    assert h0 == 1
+    rules = [app["rule"] for app in records]
+    assert rules == ["fixed-component-forcing", "unique-member-section-count"]
 
 
 def test_h0_of_zero_class(tower_3):
     trace = fixed_part_forcing(tower_3.base_blowup, tower_3.base_blowup.zero())
-    result = h0_unique_member(trace)
-    assert result.value == 1
+    h0, records = h0_unique_member(trace)
+    assert h0 == 1
+    assert [app["rule"] for app in records] == ["trivial-class"]
 
 
 def test_h0_unknown_without_certificate(tower_3):
     up_member = pullback(tower_3.base_blowup_map, tower_3.classes["A"])
     trace = fixed_part_forcing(tower_3.base_blowup, up_member)
-    result = h0_unique_member(trace)
-    assert result.value is None
-    assert not result.is_known
-    assert result.certificate_chain  # the refusal is still recorded
+    h0, records = h0_unique_member(trace)
+    assert h0 is None
+    assert [app["rule"] for app in records] == ["fixed-component-forcing"]  # the refusal
 
 
 @given(st.integers(min_value=1, max_value=30))
@@ -424,7 +427,7 @@ def test_the_forcing_record_keeps_the_runs_of_its_pairings(n):
     tower = build_tower(n)
     for m in range(1, m_threshold(n) + 2):
         trace = fixed_part_forcing(tower.base_blowup, m * tower.classes["L"])
-        record = h0_unique_member(trace).certificate_chain[0]["values"]["step_pairings"]
+        record = h0_unique_member(trace)[1][0]["values"]["step_pairings"]
         expected = trace.step_pairings()
         assert type(record) is IntRuns and type(expected) is list
         assert len(record._runs) == len(trace.runs) <= 5
@@ -436,7 +439,8 @@ def test_the_forcing_record_keeps_the_runs_of_its_pairings(n):
 
 def test_an_inconclusive_record_counts_its_steps_without_pairings(tower_3):
     trace = fixed_part_forcing(tower_3.base_blowup, 5 * tower_3.classes["L"], step_cap=3)
-    (record,) = h0_unique_member(trace).certificate_chain
+    h0, (record,) = h0_unique_member(trace)
+    assert h0 is None
     assert record["values"] == {
         "start": list(trace.start.coeffs), "inconclusive": "cap", "steps_taken": 3
     }

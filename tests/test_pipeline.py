@@ -21,7 +21,7 @@ from dlv import (
     verify,
     verify_instance,
 )
-from dlv.linsys import ForcingRun, SectionCountResult
+from dlv.linsys import ForcingRun
 from dlv.pipeline import VerificationReport
 from dlv.schema import REPORT_SCHEMA, IntRuns, validate_document
 
@@ -305,7 +305,6 @@ def test_a_report_keeps_memory_that_grows_with_its_instances_not_its_pairings():
 @pytest.mark.parametrize(
     "record",
     [
-        SectionCountResult(None, ()),
         ForcingRun((), (), (), 1),
         UniqueMember(()),
         Inconclusive("cap"),

@@ -54,6 +54,7 @@ def reports() -> list[tuple[dict, list[int]]]:
     assert [r["n"] for r in sweep["reports"]] == list(range(3, 32, 2))
     return [
         *[(report, _through_first_refusal(report["n"])) for report in sweep["reports"]],
+        (_document("verify", "--n", "61"), _through_first_refusal(61)),
         (_document("verify", "--n", "9", "--m", "30"), [30]),
         (_document("verify", "--n", "9", "--m-max", "25"), list(range(1, 27))),
     ]
@@ -133,7 +134,7 @@ def test_every_instance_replays_from_its_closed_forms(reports):
         for inst in report["instances"]:
             check_instance(report["n"], inst)
             replayed += 1
-    assert replayed == 1390 + 1 + 26
+    assert replayed == 1390 + 932 + 1 + 26
 
 
 def test_the_replay_agrees_with_a_forcing_written_out_by_hand():

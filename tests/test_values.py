@@ -13,7 +13,6 @@ from dlv import (
     DivisorClass,
     Inconclusive,
     MorphismMap,
-    NonEffectivityCertificate,
     OracleReport,
     PointSpec,
     RegisteredCurve,
@@ -28,10 +27,8 @@ from dlv.linsys import (
     ForcingRun,
     ForcingStep,
     ForcingTrace,
-    SectionCountResult,
     UniqueMember,
     _ForcingPlan,
-    h0_unique_member,
 )
 from dlv.pipeline import VerificationReport
 
@@ -40,7 +37,6 @@ def _values():
     tower = build_tower(3)
     classes = tower.classes
     trace = fixed_part_forcing(tower.base_blowup, 3 * classes["L"])
-    count = h0_unique_member(trace)
     return {
         DivisorClass: classes["A"],
         RegisteredCurve: tower.base.curves[0],
@@ -48,16 +44,12 @@ def _values():
         MorphismMap: tower.cover_map,
         PointSpec: PointSpec("p", {"G_n": 2, "F": 1}),
         Tower: tower,
-        NonEffectivityCertificate: NonEffectivityCertificate(
-            classes["A"], classes["G_n"], "G_n", -1
-        ),
         UniqueMember: trace.conclusion,
         Inconclusive: Inconclusive("cap"),
         ForcingStep: trace.steps[0],
         ForcingRun: trace.runs[0],
         ForcingTrace: trace,
         _ForcingPlan: tower.base_blowup._forcing_plan,
-        SectionCountResult: count,
         OracleReport: OracleReport("identity", 2, ["a failure"], 7),
         VerificationReport: verify(3),
     }
@@ -98,21 +90,19 @@ FIELDS = {
         ),
         ("classes",),
     ),
-    NonEffectivityCertificate: (("target", "witness", "witness_label", "pairing_value"), ()),
     UniqueMember: (("decomposition",), ()),
     Inconclusive: (("reason",), ()),
     ForcingStep: (("curve_label", "pairing_value", "residual_after"), ()),
     ForcingRun: (("curves", "pairings", "shifts", "repeats"), ()),
     ForcingTrace: (("start", "runs", "conclusion"), ()),
     _ForcingPlan: (("rows", "meets", "columns", "solver"), ()),
-    SectionCountResult: (("value", "certificate_chain"), ()),
     OracleReport: (("suite", "trials", "failures", "seed"), ()),
     VerificationReport: (("n", "m_max", "instances", "summary"), ()),
 }
 
 
 def test_every_value_class_is_covered():
-    assert len(FIELDS) == 16
+    assert len(FIELDS) == 14
     assert set(_values()) == set(FIELDS)
 
 
