@@ -10,19 +10,11 @@ value object is immutable.
 __version__ = "0.1.0"
 
 from .errors import (
-    ArityMismatch,
-    BoundTooLarge,
     DivisorLatticeError,
     InvalidModel,
     InvalidParameter,
     MismatchedModel,
-    NotABlowup,
-    NotACover,
-    NotAStrictTransformShape,
-    RegistryTooLarge,
     SchemaViolation,
-    UnknownCurve,
-    WrongSurfaceKind,
 )
 from .lattice import (
     DivisorClass,
@@ -75,4 +67,4 @@ from .oracle import (
     oracle_report_to_dict,
 )
 from .schema import canonical_json
-from .expr import ExprError, ExprSyntaxError, UnknownIdentifier, parse_expr
+from .expr import ExprError, parse_expr

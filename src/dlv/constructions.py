@@ -35,13 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import (
-    ArityMismatch,
-    InvalidParameter,
-    MismatchedModel,
-    NotABlowup,
-    UnknownCurve,
-)
+from .errors import InvalidParameter, MismatchedModel
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_on, exact_int
 
 
@@ -135,7 +129,7 @@ def blow_up(
     for p in points:
         for label, _ in p.declared_multiplicities:
             if not model.has_curve(label):
-                raise UnknownCurve(
+                raise InvalidParameter(
                     f"point {p.label!r} declares a multiplicity for {label!r}, "
                     f"which is not a registered curve of {model.model_id!r}"
                 )
@@ -145,7 +139,7 @@ def blow_up(
     else:
         exceptional_labels = tuple(exceptional_labels)
     if len(exceptional_labels) != k:
-        raise ArityMismatch(f"need {k} exceptional labels, got {len(exceptional_labels)}")
+        raise InvalidParameter(f"need {k} exceptional labels, got {len(exceptional_labels)}")
     for label in exceptional_labels:
         if label in model.basis:
             raise InvalidParameter(
@@ -192,14 +186,14 @@ def strict_transform(
     """Pullback of ``d`` with ``-mults`` on the exceptional classes; each
     multiplicity must be an ``int`` >= 0."""
     if morphism.kind != "blowup":
-        raise NotABlowup("strict_transform needs a blow-up morphism")
+        raise InvalidParameter("strict_transform needs a blow-up morphism")
     k = len(morphism.exceptional_labels)
     if len(mults) != k:
-        raise ArityMismatch(f"need {k} multiplicities, got {len(mults)}")
+        raise InvalidParameter(f"need {k} multiplicities, got {len(mults)}")
     for label, m in zip(morphism.exceptional_labels, mults):
         exact_int(m, f"multiplicity at {label}", 0)
-    head = pullback(morphism, d).coeffs[: morphism.target_size]
-    return DivisorClass(morphism.source_model, head + tuple([-m for m in mults]))
+    check_on(d, morphism.target_model, morphism.target_size)
+    return DivisorClass(morphism.source_model, d.coeffs + tuple([-m for m in mults]))
 
 
 def double_cover(

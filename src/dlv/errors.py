@@ -1,7 +1,12 @@
 """Exception types shared across the package.
 
-Every error raised on purpose derives from :class:`DivisorLatticeError`,
-so callers (and the CLI) can distinguish domain errors from bugs.
+Every error raised on purpose derives from :class:`DivisorLatticeError`:
+:class:`MismatchedModel` for a class used on another model,
+:class:`InvalidModel` for a model that cannot be built,
+:class:`InvalidParameter` for an argument an operation does not accept,
+:class:`SchemaViolation` for a document that breaks ``REPORT_SCHEMA``, and
+``dlv.expr.ExprError`` for an expression that does not parse or evaluate;
+the CLI exits 1 on each of them except :class:`SchemaViolation` (exit 2).
 """
 
 
@@ -19,32 +24,9 @@ class InvalidModel(DivisorLatticeError):
 
 
 class InvalidParameter(DivisorLatticeError):
-    """A numeric parameter is outside its allowed range (e.g. even n)."""
-
-
-class UnknownCurve(DivisorLatticeError):
-    """A label does not name a registered curve of the model."""
-
-
-class ArityMismatch(DivisorLatticeError):
-    """A multiplicity list does not match the number of exceptional classes."""
-
-
-class NotABlowup(DivisorLatticeError):
-    """The morphism is not a blow-up map."""
-
-
-class NotACover(DivisorLatticeError):
-    """The morphism is not a cyclic-cover map."""
-
-
-class NotAStrictTransformShape(DivisorLatticeError):
-    """A class on a blow-up is not of the form pullback minus a
-    non-negative combination of exceptional classes."""
-
-
-class WrongSurfaceKind(DivisorLatticeError):
-    """An operation requires a specific surface kind (e.g. abelian)."""
+    """An operation does not accept an argument: a number out of range
+    (e.g. even n), an unknown label, a morphism or surface of the wrong
+    kind, a class of the wrong shape, or an enumeration too large to run."""
 
 
 class SchemaViolation(DivisorLatticeError):
@@ -58,11 +40,3 @@ class SchemaViolation(DivisorLatticeError):
     def __init__(self, message: str, path: tuple = ()):
         super().__init__(message)
         self.path = path
-
-
-class BoundTooLarge(DivisorLatticeError):
-    """An exhaustive enumeration grid would exceed the configured cap."""
-
-
-class RegistryTooLarge(DivisorLatticeError):
-    """The curve registry is too large for exhaustive order enumeration."""

@@ -23,19 +23,13 @@ from .lattice import DivisorClass, SurfaceModel
 
 
 class ExprError(DivisorLatticeError):
-    """Base for expression diagnostics; ``position`` is a byte offset."""
+    """An expression that does not parse or does not evaluate: a bad
+    token or nesting, an unknown identifier, or an operation on the wrong
+    kind of operand; ``position`` is a byte offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-class ExprSyntaxError(ExprError):
-    pass
-
-
-class UnknownIdentifier(ExprError):
-    pass
 
 
 # ASCII only, whitespace included, so every character before an error is
@@ -67,7 +61,7 @@ def _tokenize(text: str):
             if not stripped:
                 break  # trailing whitespace
             at = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
+            raise ExprError(f"unexpected character {text[at]!r}", at)
         if match.group(1) is not None:
             tokens.append(("int", _int_literal(match.group(1)), match.start(1)))
         elif match.group(2) is not None:
@@ -95,7 +89,7 @@ class _Parser:
         """Enter one more level of '(' or unary '-'."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
+            raise ExprError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -116,7 +110,7 @@ class _Parser:
             result = left
         kind, value, pos = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(f"unexpected {value!r} after expression", pos)
+            raise ExprError(f"unexpected {value!r} after expression", pos)
         return result
 
     def sum(self):
@@ -135,9 +129,7 @@ class _Parser:
             return left + right if op == "+" else left - right
         if isinstance(left, DivisorClass) and isinstance(right, DivisorClass):
             return left + right if op == "+" else left - right
-        raise ExprSyntaxError(
-            f"cannot apply {op!r} to a number and a divisor class", pos
-        )
+        raise ExprError(f"cannot apply {op!r} to a number and a divisor class", pos)
 
     def unary_or_product(self):
         left = self.unary()
@@ -151,7 +143,7 @@ class _Parser:
                 elif isinstance(right, int):
                     left = right * left
                 else:
-                    raise ExprSyntaxError("cannot multiply two divisor classes", pos)
+                    raise ExprError("cannot multiply two divisor classes", pos)
             else:
                 return left
 
@@ -177,9 +169,9 @@ class _Parser:
             self.depth -= 1
             kind, value, pos = self.take()
             if not (kind == "op" and value == ")"):
-                raise ExprSyntaxError("expected ')'", pos)
+                raise ExprError("expected ')'", pos)
             return inner
-        raise ExprSyntaxError(
+        raise ExprError(
             "expected a number, an identifier or '('"
             if kind == "end"
             else f"unexpected {value!r}",
@@ -209,16 +201,14 @@ def parse_expr(
             return named[name]
         if name in model.basis:
             return model.basis_class(name)
-        raise UnknownIdentifier(f"unknown identifier {name!r}", pos)
+        raise ExprError(f"unknown identifier {name!r}", pos)
 
     def do_pair(left, right, pos):
         if not isinstance(left, DivisorClass) or not isinstance(right, DivisorClass):
-            raise ExprSyntaxError("pairing needs a divisor class on both sides", pos)
+            raise ExprError("pairing needs a divisor class on both sides", pos)
         owner = by_id.get(left.model_id)
         if owner is None:
-            raise ExprSyntaxError(
-                f"no model available for pairing on {left.model_id!r}", pos
-            )
+            raise ExprError(f"no model available for pairing on {left.model_id!r}", pos)
         return owner.pair(left, right)  # raises MismatchedModel on mixed models
 
     return _Parser(_tokenize(text), resolve, do_pair).expression()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from operator import add, attrgetter, sub
 
-from .errors import InvalidModel, InvalidParameter, MismatchedModel, UnknownCurve
+from .errors import InvalidModel, InvalidParameter, MismatchedModel
 
 SURFACE_KINDS = ("abelian", "blowup", "cover", "other")
 _INT = frozenset((int,))
@@ -284,7 +284,9 @@ class SurfaceModel(Value):
         try:
             i = self._basis_index[label]
         except KeyError:
-            raise UnknownCurve(f"{label!r} is not a basis label of {self.model_id!r}") from None
+            raise InvalidParameter(
+                f"{label!r} is not a basis label of {self.model_id!r}"
+            ) from None
         coeffs = [0] * self.size
         coeffs[i] = 1
         return DivisorClass(self.model_id, tuple(coeffs))
@@ -302,7 +304,7 @@ class SurfaceModel(Value):
         for c in self.curves:
             if c.label == label:
                 return c
-        raise UnknownCurve(f"{label!r} is not a registered curve of {self.model_id!r}")
+        raise InvalidParameter(f"{label!r} is not a registered curve of {self.model_id!r}")
 
     def with_curve(self, label: str, cls: DivisorClass) -> "SurfaceModel":
         """Return a copy of the model with one more declared curve."""

@@ -54,14 +54,7 @@ from functools import cached_property
 from operator import sub
 
 from .constructions import MorphismMap
-from .errors import (
-    MismatchedModel,
-    NotABlowup,
-    NotACover,
-    NotAStrictTransformShape,
-    UnknownCurve,
-    WrongSurfaceKind,
-)
+from .errors import InvalidParameter, MismatchedModel
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_on, exact_int
 from .schema import IntRuns
 
@@ -102,7 +95,7 @@ def certify_not_effective(
     effectivity).
     """
     if model.kind != "abelian":
-        raise WrongSurfaceKind(
+        raise InvalidParameter(
             f"the nef witness rule needs an abelian model, got kind {model.kind!r}"
         )
     model._check_owned(d)
@@ -113,7 +106,7 @@ def certify_not_effective(
             label = curve.label
             break
     if label is None:
-        raise UnknownCurve("the witness must be a registered curve of the model")
+        raise InvalidParameter("the witness must be a registered curve of the model")
     # an abelian model registers no curve of negative self-intersection, so
     # the witness is nef and only a strictly negative pairing certifies
     pairing = model.pair(d, witness)
@@ -135,7 +128,7 @@ def cover_section_split(
     the retained half-branch class.
     """
     if morphism.kind != "cover" or morphism.branch_half is None:
-        raise NotACover("cover_section_split needs a double-cover morphism")
+        raise InvalidParameter("cover_section_split needs a double-cover morphism")
     check_on(m_cls, morphism.target_model, morphism.target_size)
     return m_cls, m_cls - morphism.branch_half
 
@@ -149,11 +142,11 @@ def blowup_section_transfer(
     vanishing orders at the blown-up points.  This is bookkeeping for the
     certificate chain; the section spaces upstairs and downstairs-with-
     vanishing are identified.  M is the head of the coefficient vector,
-    the k_i the negated tail.  Raises :class:`NotAStrictTransformShape`
-    when some k_i would be negative or the class has the wrong length.
+    the k_i the negated tail.  Raises :class:`InvalidParameter` when
+    some k_i would be negative or the class has the wrong length.
     """
     if morphism.kind != "blowup":
-        raise NotABlowup("blowup_section_transfer needs a blow-up morphism")
+        raise InvalidParameter("blowup_section_transfer needs a blow-up morphism")
     if d.model_id != morphism.source_model:
         raise MismatchedModel(
             f"expected a class on the blow-up {morphism.source_model!r}, "
@@ -161,10 +154,10 @@ def blowup_section_transfer(
         )
     size = morphism.target_size
     if len(d.coeffs) != size + len(morphism.exceptional_labels):
-        raise NotAStrictTransformShape("class does not fit the blow-up shape")
+        raise InvalidParameter("class does not fit the blow-up shape")
     tail = d.coeffs[size:]
     if any(c > 0 for c in tail):
-        raise NotAStrictTransformShape(
+        raise InvalidParameter(
             f"exceptional coefficients {list(tail)} include a positive entry; "
             f"not pullback minus non-negative multiples"
         )

@@ -16,7 +16,7 @@ import os
 import random
 
 from .constructions import PointSpec, blow_up, build_tower, double_cover, pullback
-from .errors import BoundTooLarge, RegistryTooLarge
+from .errors import InvalidParameter
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, exact_int
 from .linsys import UniqueMember, fixed_part_forcing
 from .schema import document
@@ -46,13 +46,13 @@ def oracle_report_to_dict(report: OracleReport) -> dict:
 
 
 def check_grid(model: SurfaceModel, coeff_bound: int) -> None:
-    """Raise unless ``coeff_bound`` is an integer >= 0 whose grid over the
-    curves of ``model`` holds at most ``GRID_CAP`` points
-    (:class:`BoundTooLarge` when it holds more)."""
+    """Raise :class:`InvalidParameter` unless ``coeff_bound`` is an integer
+    >= 0 whose grid over the curves of ``model`` holds at most ``GRID_CAP``
+    points."""
     exact_int(coeff_bound, "coeff_bound", 0)
     grid = (coeff_bound + 1) ** len(model.curves)
     if grid > GRID_CAP:
-        raise BoundTooLarge(f"grid of {grid} points exceeds the cap of {GRID_CAP}")
+        raise InvalidParameter(f"grid of {grid} points exceeds the cap of {GRID_CAP}")
 
 
 def enumerate_decompositions(
@@ -143,7 +143,7 @@ def forcing_order_check(
     """
     exact_int(m_cap, "m_cap", 0)
     if len(model.curves) > 6:
-        raise RegistryTooLarge(
+        raise InvalidParameter(
             f"registry of {len(model.curves)} curves is too large for "
             f"exhaustive order enumeration (max 6)"
         )

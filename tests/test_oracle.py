@@ -7,12 +7,10 @@ import sys
 import pytest
 
 from dlv import (
-    BoundTooLarge,
     DivisorClass,
     InvalidModel,
     InvalidParameter,
     RegisteredCurve,
-    RegistryTooLarge,
     SurfaceModel,
     UniqueMember,
     bilinearity_suite,
@@ -47,7 +45,7 @@ def test_enumeration_misses_exceptional_class(tower_3):
 
 
 def test_enumeration_grid_cap(tower_3):
-    with pytest.raises(BoundTooLarge):
+    with pytest.raises(InvalidParameter, match=r"points exceeds the cap of 100000000"):
         enumerate_decompositions(tower_3.base_blowup, tower_3.classes["L"], 10**4)
 
 
@@ -113,7 +111,7 @@ def test_forcing_order_registry_cap(tower_3):
     model = tower_3.base_blowup
     for i in range(4):
         model = model.with_curve(f"extra_{i}", model.basis_class("e_1"))
-    with pytest.raises(RegistryTooLarge):
+    with pytest.raises(InvalidParameter, match=r"registry of 7 curves is too large"):
         forcing_order_check(model, tower_3.classes["L"])
 
 
