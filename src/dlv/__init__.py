@@ -5,12 +5,17 @@ double covers, citation-carrying effectivity certificates, a replay
 verifier with deterministic JSON reports, and independent brute-force
 oracles.  Everything is exact (arbitrary-precision integers) and every
 value object is immutable.
+
+The oracle suites (``dlv.oracle``) and the expression grammar
+(``dlv.expr``, ``parse_expr``) are imported from their modules, so a
+process that runs neither does not load them.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (
     DivisorLatticeError,
+    ExprError,
     InvalidModel,
     InvalidParameter,
     MismatchedModel,
@@ -57,14 +62,4 @@ from .pipeline import (
     verify,
     verify_instance,
 )
-from .oracle import (
-    OracleReport,
-    bilinearity_suite,
-    enumerate_decompositions,
-    enumeration_check,
-    forcing_order_check,
-    identity_suite,
-    oracle_report_to_dict,
-)
 from .schema import canonical_json
-from .expr import ExprError, parse_expr

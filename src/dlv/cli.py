@@ -28,17 +28,8 @@ from collections import Counter
 
 from . import __version__
 from .constructions import build_tower, check_odd_n
-from .errors import DivisorLatticeError, InvalidParameter, SchemaViolation
-from .expr import ExprError, parse_expr
+from .errors import DivisorLatticeError, ExprError, InvalidParameter, SchemaViolation
 from .lattice import exact_int, format_class
-from .oracle import (
-    bilinearity_suite,
-    check_grid,
-    enumeration_check,
-    forcing_order_check,
-    identity_suite,
-    oracle_report_to_dict,
-)
 from .pipeline import (
     FAILED,
     instance_range,
@@ -349,6 +340,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # imported here, so that no other command loads the suites
+    from .oracle import (
+        bilinearity_suite,
+        check_grid,
+        enumeration_check,
+        forcing_order_check,
+        identity_suite,
+        oracle_report_to_dict,
+    )
+
     ns = _parse_odd_range(args.n_range)
     # check every size before the first suite runs, with the suites' own names
     exact_int(args.m_max, "m_max_per_n", 0)
@@ -373,6 +374,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .expr import parse_expr  # imported here, so that no other command loads it
+
     tower = build_tower(args.n)
     result = parse_expr(
         args.expr,

@@ -5,7 +5,7 @@ Every error raised on purpose derives from :class:`DivisorLatticeError`:
 :class:`InvalidModel` for a model that cannot be built,
 :class:`InvalidParameter` for an argument an operation does not accept,
 :class:`SchemaViolation` for a document that breaks ``REPORT_SCHEMA``, and
-``dlv.expr.ExprError`` for an expression that does not parse or evaluate;
+:class:`ExprError` for an expression that does not parse or evaluate;
 the CLI exits 1 on each of them except :class:`SchemaViolation` (exit 2).
 """
 
@@ -40,3 +40,13 @@ class SchemaViolation(DivisorLatticeError):
     def __init__(self, message: str, path: tuple = ()):
         super().__init__(message)
         self.path = path
+
+
+class ExprError(DivisorLatticeError):
+    """An expression that does not parse or does not evaluate: a bad
+    token or nesting, an unknown identifier, or an operation on the wrong
+    kind of operand; ``position`` is a byte offset."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at offset {position})")
+        self.position = position

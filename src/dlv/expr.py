@@ -18,18 +18,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import DivisorLatticeError
+from .errors import ExprError
 from .lattice import DivisorClass, SurfaceModel
-
-
-class ExprError(DivisorLatticeError):
-    """An expression that does not parse or does not evaluate: a bad
-    token or nesting, an unknown identifier, or an operation on the wrong
-    kind of operand; ``position`` is a byte offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
 
 
 # ASCII only, whitespace included, so every character before an error is

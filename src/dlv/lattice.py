@@ -111,6 +111,16 @@ class DivisorClass(Value):
         _set(self, "model_id", model_id)
         _set(self, "coeffs", _exact_ints(coeffs, "coefficients"))
 
+    # ``Value``'s ``==`` and ``hash``, without its generic field lookup:
+    # classes are compared in every instance the pipeline verifies
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.model_id == other.model_id
+
+    def __hash__(self):
+        return hash((self.model_id, self.coeffs))
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         check_on(other, self.model_id, len(self.coeffs))
         return DivisorClass(self.model_id, (*map(add, self.coeffs, other.coeffs),))

@@ -51,7 +51,7 @@ one twice).
 from __future__ import annotations
 
 from functools import cached_property
-from operator import sub
+from operator import mul, sub
 
 from .constructions import MorphismMap
 from .errors import InvalidParameter, MismatchedModel
@@ -174,7 +174,7 @@ class UniqueMember(Value):
     __slots__ = _fields = ("decomposition",)
 
     def __init__(self, decomposition: tuple[tuple[str, int], ...]):
-        self._set_fields(decomposition)
+        _set(self, "decomposition", decomposition)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.decomposition)
@@ -226,7 +226,9 @@ class ForcingTrace(Value):
 
     def __init__(self, start: DivisorClass, runs: tuple[ForcingRun, ...],
                  conclusion: UniqueMember | Inconclusive):
-        self._set_fields(start, runs, conclusion)
+        _set(self, "start", start)
+        _set(self, "runs", runs)
+        _set(self, "conclusion", conclusion)
 
     def step_pairings(self) -> list[int]:
         """The pairing value of every subtraction, in order."""
@@ -322,20 +324,21 @@ class _ForcingPlan(Value):
         if self.solver is None:
             return None
         inverse, det = self.solver
-        solution = []
-        for row in inverse:
-            value, rest = divmod(_dot(row, coeffs), det)
-            if rest:
+        solution = [sum(map(mul, row, coeffs)) for row in inverse]
+        if det != 1:
+            if any([value % det for value in solution]):
                 return None  # not an integer combination, or inconsistent
-            solution.append(value)
-        for i, target in enumerate(coeffs):
-            if sum(x * col[i] for x, col in zip(solution, self.columns)) != target:
-                return None  # inconsistent: coeffs lie outside the span
+            solution = [value // det for value in solution]
+        # a square system has exactly this solution; a taller one may have none
+        if len(solution) < len(coeffs):
+            for i, target in enumerate(coeffs):
+                if sum(map(mul, solution, [col[i] for col in self.columns])) != target:
+                    return None  # inconsistent: coeffs lie outside the span
         return solution
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v) if a)
+    return sum(map(mul, u, v))
 
 
 def _first_all_negative(pieces) -> int | None:
@@ -372,37 +375,32 @@ def _cycle_run(
     negatively or runs out of count (which includes the residual reaching
     zero), or a competitor starts to win, or the cap would be passed.
     """
-    size = len(pairings)
-    shift = [0] * size
-    uses = [0] * size
+    shift = [0] * len(pairings)
+    uses = [0] * len(pairings)
     for j in cycle:
+        shift = [*map(sub, shift, meets[j])]
         uses[j] += 1
-        for i in range(size):
-            shift[i] -= meets[j][i]
+    # a curve outside the cycle with no count left never competes
+    competitors = [i for i, (count, used) in enumerate(zip(counts, uses)) if count > 0 or used]
     repeats = steps_left // len(cycle)
-    p, c = list(pairings), list(counts)
+    p, c = pairings, list(counts)
     firsts = []
     for j in cycle:
-        firsts.append(p[j])
+        pj, sj = p[j], shift[j]
+        firsts.append(pj)
         bounds = [
-            _first_all_negative([(-p[j] - 1, -shift[j])]),  # pairing turns >= 0
+            _first_all_negative([(-pj - 1, -sj)]),  # pairing turns >= 0
             _first_all_negative([(c[j] - 1, -uses[j])]),  # count falls to <= 0
         ]
-        for i in range(size):
-            if i != j:
-                tie = int(i < j)  # an earlier curve also wins a tie
+        for i in competitors:
+            if i != j:  # i pairs negatively, has count left and wins
+                pi, si = p[i], shift[i]
+                tie = i < j  # an earlier curve also wins a tie
                 bounds.append(
-                    _first_all_negative(
-                        [
-                            (p[i], shift[i]),
-                            (-c[i], uses[i]),
-                            (p[i] - p[j] - tie, shift[i] - shift[j]),
-                        ]
-                    )
+                    _first_all_negative([(pi, si), (-c[i], uses[i]), (pi - pj - tie, si - sj)])
                 )
-        repeats = min([repeats] + [b for b in bounds if b is not None])
-        for i in range(size):
-            p[i] -= meets[j][i]
+        repeats = min(repeats, *[b for b in bounds if b is not None])
+        p = [*map(sub, p, meets[j])]
         c[j] -= 1
     return repeats, firsts, shift
 
@@ -495,7 +493,7 @@ def fixed_part_forcing(
             conclusion = Inconclusive("cap")
             break
         runs.append(ForcingRun((curves[best],), (pairings[best],), (0,), 1))
-        pairings = [p - d for p, d in zip(pairings, meets[best])]
+        pairings = [*map(sub, pairings, meets[best])]
         counts[best] -= 1
         taken += 1
         history.append(best)

@@ -42,7 +42,11 @@ import itertools
 import os
 import reprlib
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii
+
+# the C function that ``json.encoder.encode_basestring_ascii`` names; taken
+# from ``_json``, because importing ``json.encoder`` loads the whole ``json``
+# package, its decoder included, into every cold start
+from _json import encode_basestring_ascii
 
 from . import __version__
 from .errors import SchemaViolation

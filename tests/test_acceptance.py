@@ -10,12 +10,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from dlv import (
-    UniqueMember,
+from dlv import UniqueMember, build_tower, fixed_part_forcing
+from dlv.oracle import (
     bilinearity_suite,
-    build_tower,
     enumerate_decompositions,
-    fixed_part_forcing,
     forcing_order_check,
     identity_suite,
 )

@@ -4,9 +4,9 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from dlv import DivisorClass, MismatchedModel, build_tower, parse_expr
+from dlv import DivisorClass, MismatchedModel, build_tower
 from dlv.cli import main
-from dlv.expr import ExprError
+from dlv.expr import ExprError, parse_expr
 
 
 def evaluate(n, text):

@@ -13,15 +13,17 @@ from dlv import (
     RegisteredCurve,
     SurfaceModel,
     UniqueMember,
+    fixed_part_forcing,
+    oracle,
+)
+from dlv.oracle import (
     bilinearity_suite,
     enumerate_decompositions,
     enumeration_check,
-    fixed_part_forcing,
     forcing_order_check,
     identity_suite,
     oracle_report_to_dict,
 )
-from dlv import oracle
 from dlv.expr import ExprError
 from dlv.schema import validate_document
 

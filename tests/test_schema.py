@@ -14,14 +14,13 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from dlv import (
-    OracleReport,
     SchemaViolation,
     VerificationReport,
-    oracle_report_to_dict,
     report_to_dict,
     sweep_to_dict,
     verify_instance,
 )
+from dlv.oracle import OracleReport, oracle_report_to_dict
 from dlv.schema import REPORT_SCHEMA, canonical_json, document, validate_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -13,14 +13,12 @@ from dlv import (
     DivisorClass,
     Inconclusive,
     MorphismMap,
-    OracleReport,
     PointSpec,
     RegisteredCurve,
     SurfaceModel,
     Tower,
     build_tower,
     fixed_part_forcing,
-    forcing_order_check,
     verify,
 )
 from dlv.linsys import (
@@ -30,6 +28,7 @@ from dlv.linsys import (
     UniqueMember,
     _ForcingPlan,
 )
+from dlv.oracle import OracleReport, forcing_order_check
 from dlv.pipeline import VerificationReport
 
 
