@@ -1,10 +1,9 @@
 """Effectivity certificates and section-count accounting.
 
 Four cited rules turn lattice arithmetic into statements about spaces of
-sections.  The non-effectivity rule and the forcing's section count each
-return their value together with the rule application that records it, a
-``{"rule", "citation", "values"}`` dict of exactly what was checked; the
-two section transfers return the classes that their caller records:
+sections.  Each returns its values together with the rule application
+that records it, a ``{"rule", "citation", "values"}`` dict of exactly what
+was checked, and this is the one module that writes such records:
 
 * the abelian-surface non-effectivity rule: every effective class on an
   abelian surface is nef (such a surface carries no negative curves), so a
@@ -44,13 +43,11 @@ on request.  The tests hold this engine to a one-step-at-a-time
 reference, ``tests/stepwise_reference.py``.
 
 All functions are pure and all value objects immutable; concurrent use is
-safe (the plan and the expanded steps are caches, and a race only builds
-one twice).
+safe (the plan is a cache, and a race only builds it twice).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import mul, sub
 
 from .constructions import MorphismMap
@@ -77,6 +74,11 @@ FORCING_CITATION = (
     "subtracting it and iterating pins down every member"
 )
 
+COVER_SPLIT_CITATION = (
+    "for the degree-2 cover branched in |2R|, sections of the "
+    "pullback of M split as sections of M plus sections of M - R"
+)
+
 UNIQUE_MEMBER_CITATION = (
     "a nonzero class whose only member is the forced decomposition has a "
     "one-dimensional space of sections"
@@ -84,9 +86,10 @@ UNIQUE_MEMBER_CITATION = (
 
 
 def certify_not_effective(
-    model: SurfaceModel, d: DivisorClass, witness: DivisorClass
+    model: SurfaceModel, d: DivisorClass, witness: str
 ) -> tuple[int, dict]:
-    """Apply the nef rule to ``d`` with a registered curve as the witness.
+    """Apply the nef rule to ``d`` with the registered curve labelled
+    ``witness`` as the witness.
 
     Returns ``(pairing, record)``.  A strictly negative pairing certifies
     that ``d`` is not effective, recorded as ``noneffectivity-on-abelian``;
@@ -99,47 +102,45 @@ def certify_not_effective(
             f"the nef witness rule needs an abelian model, got kind {model.kind!r}"
         )
     model._check_owned(d)
-    model._check_owned(witness)
-    label = None
-    for curve in model.curves:
-        if curve.cls == witness:
-            label = curve.label
-            break
-    if label is None:
-        raise InvalidParameter("the witness must be a registered curve of the model")
     # an abelian model registers no curve of negative self-intersection, so
     # the witness is nef and only a strictly negative pairing certifies
-    pairing = model.pair(d, witness)
+    pairing = model.pair(d, model.curve(witness).cls)
     if pairing < 0:
         rule, citation = "noneffectivity-on-abelian", NEF_RULE_CITATION
-        values = {"target": list(d.coeffs), "witness": label, "pairing": pairing}
+        values = {"target": list(d.coeffs), "witness": witness, "pairing": pairing}
     else:
         rule, citation = "noneffectivity-witness-failed", WITNESS_FAILED_CITATION
-        values = {"witness": label, "pairing": pairing}
+        values = {"witness": witness, "pairing": pairing}
     return pairing, {"rule": rule, "citation": citation, "values": values}
 
 
 def cover_section_split(
     morphism: MorphismMap, m_cls: DivisorClass
-) -> tuple[DivisorClass, DivisorClass]:
+) -> tuple[DivisorClass, DivisorClass, dict]:
     """Split sections of the pullback of ``m_cls`` through a double cover.
 
-    Returns the two summand classes on the base, ``(M, M - R)`` where R is
-    the retained half-branch class.
+    Returns ``(M, M - R, record)``: the two summand classes on the base,
+    where R is the retained half-branch class, and the
+    ``cover-section-split`` record.
     """
     if morphism.kind != "cover" or morphism.branch_half is None:
         raise InvalidParameter("cover_section_split needs a double-cover morphism")
     check_on(m_cls, morphism.target_model, morphism.target_size)
-    return m_cls, m_cls - morphism.branch_half
+    second = m_cls - morphism.branch_half
+    values = {"M": list(m_cls.coeffs), "M_minus_R": list(second.coeffs)}
+    record = {"rule": "cover-section-split", "citation": COVER_SPLIT_CITATION, "values": values}
+    return m_cls, second, record
 
 
 def blowup_section_transfer(
-    morphism: MorphismMap, d: DivisorClass
-) -> tuple[DivisorClass, list[int]]:
+    morphism: MorphismMap, d: DivisorClass, citation: str
+) -> tuple[DivisorClass, list[int], dict]:
     """Decompose a class on a blow-up as pullback(M) - sum k_i e_i.
 
-    Returns ``(M, [k_1, ...])``: the downstairs class and the imposed
-    vanishing orders at the blown-up points.  This is bookkeeping for the
+    Returns ``(M, [k_1, ...], record)``: the downstairs class, the imposed
+    vanishing orders at the blown-up points, and the
+    ``blowup-section-transfer`` record, which cites ``citation`` (each use
+    names the points it runs through).  This is bookkeeping for the
     certificate chain; the section spaces upstairs and downstairs-with-
     vanishing are identified.  M is the head of the coefficient vector,
     the k_i the negated tail.  Raises :class:`InvalidParameter` when
@@ -161,7 +162,16 @@ def blowup_section_transfer(
             f"exceptional coefficients {list(tail)} include a positive entry; "
             f"not pullback minus non-negative multiples"
         )
-    return DivisorClass(morphism.target_model, d.coeffs[:size]), [-c for c in tail]
+    head = d.coeffs[:size]
+    orders = [-c for c in tail]
+    values = {
+        "surface": morphism.source_model,
+        "class": list(d.coeffs),
+        "downstairs_class": list(head),
+        "vanishing_orders": orders[:],
+    }
+    record = {"rule": "blowup-section-transfer", "citation": citation, "values": values}
+    return DivisorClass(morphism.target_model, head), orders, record
 
 
 # -- fixed-component forcing -------------------------------------------------
@@ -218,11 +228,10 @@ class ForcingTrace(Value):
     """A forcing as its runs, in order, and its conclusion.
 
     ``steps`` expands the runs into one :class:`ForcingStep` per
-    subtraction, residual included; it is built on first access.
+    subtraction, residual included, each time it is read.
     """
 
-    _fields = ("start", "runs", "conclusion")
-    __slots__ = (*_fields, "__dict__")  # the ``steps`` cache
+    __slots__ = _fields = ("start", "runs", "conclusion")
 
     def __init__(self, start: DivisorClass, runs: tuple[ForcingRun, ...],
                  conclusion: UniqueMember | Inconclusive):
@@ -234,7 +243,7 @@ class ForcingTrace(Value):
         """The pairing value of every subtraction, in order."""
         return list(_pairing_runs(self))
 
-    @cached_property
+    @property
     def steps(self) -> tuple[ForcingStep, ...]:
         curves = [curve for run in self.runs for curve in run.curves * run.repeats]
         residual = self.start.coeffs

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .constructions import MorphismMap, Tower, build_tower, check_odd_n, pullback
+from .constructions import Tower, build_tower, check_odd_n, pullback
 from .errors import InvalidParameter
-from .lattice import DivisorClass, Value, exact_int
+from .lattice import Value, exact_int
 from .linsys import (
     blowup_section_transfer,
     certify_not_effective,
@@ -81,26 +81,6 @@ class VerificationReport(Value):
         self._set_fields(n, m_max, instances, summary)
 
 
-def _transfer(
-    chain: list[dict], morphism: MorphismMap, d: DivisorClass, citation: str
-) -> tuple[DivisorClass, list[int]]:
-    """Apply the blow-up section transfer to ``d`` and record it in ``chain``."""
-    down, orders = blowup_section_transfer(morphism, d)
-    chain.append(
-        {
-            "rule": "blowup-section-transfer",
-            "citation": citation,
-            "values": {
-                "surface": morphism.source_model,
-                "class": list(d.coeffs),
-                "downstairs_class": list(down.coeffs),
-                "vanishing_orders": list(orders),
-            },
-        }
-    )
-    return down, orders
-
-
 def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
     """Run the five stages of the certificate chain for one (n, m) and
     return the instance document that a ``verification-report`` lists.
@@ -126,34 +106,23 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
     problems: list[str] = []
 
     # Stage 1: transfer m*D from the top surface down to the cover.
-    down, top_orders = _transfer(
-        chain, tower.cover_blowup_map, m * classes["D"], TOP_TRANSFER_CITATION
+    down, top_orders, record = blowup_section_transfer(
+        tower.cover_blowup_map, m * classes["D"], TOP_TRANSFER_CITATION
     )
+    chain.append(record)
     if top_orders != orders:
         problems.append(f"top-surface vanishing orders {top_orders} != {orders}")
     if down != pullback(tower.cover_map, m_member):
         problems.append("top-surface transfer does not land on the pulled-back multiple")
 
     # Stage 2: split the pulled-back sections over the cover.
-    first, second = cover_section_split(tower.cover_map, m_member)
-    chain.append(
-        {
-            "rule": "cover-section-split",
-            "citation": (
-                "for the degree-2 cover branched in |2R|, sections of the "
-                "pullback of M split as sections of M plus sections of M - R"
-            ),
-            "values": {
-                "M": list(first.coeffs),
-                "M_minus_R": list(second.coeffs),
-            },
-        }
-    )
+    first, second, record = cover_section_split(tower.cover_map, m_member)
+    chain.append(record)
     if first != m_member or second != m_member - classes["R"]:
         problems.append("cover split summands are not (M, M - R)")
 
     # Stage 3: the second summand is not effective below the threshold.
-    certificate_value, record = certify_not_effective(tower.base, second, classes["G_n"])
+    certificate_value, record = certify_not_effective(tower.base, second, "Gamma_n")
     chain.append(record)
     expected_certificate = 4 * (m - 1) - n * n
     if certificate_value != expected_certificate:
@@ -164,9 +133,10 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
     beyond = certificate_value >= 0
     if not beyond:
         # Stage 4: transfer the surviving summand down to the blown-up base.
-        down, base_orders = _transfer(
-            chain, tower.base_blowup_map, m_one_dim, BASE_TRANSFER_CITATION
+        down, base_orders, record = blowup_section_transfer(
+            tower.base_blowup_map, m_one_dim, BASE_TRANSFER_CITATION
         )
+        chain.append(record)
         if down != m_member or base_orders != orders:
             problems.append("blown-up-base transfer does not match the member multiple")
 

@@ -109,6 +109,23 @@ def test_pair_cross_model_error(capsys):
     assert "error" in err
 
 
+def test_pair_of_a_number_is_an_expression_error(capsys):
+    code, out, err = run(capsys, "pair", "--n", "3", "--expr", "2.F")
+    assert (code, out) == (1, "")
+    assert err == (
+        "dlv: expression error: pairing needs a divisor class on both sides (at offset 1)\n"
+    )
+
+
+def test_pair_expression_that_starts_with_a_minus(capsys):
+    # argparse reads "-F.G" after a space as a flag, so README says --expr=-F.G
+    code, out, err = run(capsys, "pair", "--n", "3", "--expr=-F.G")
+    assert (code, out) == (0, "-1\n")
+    code, out, err = run(capsys, "pair", "--n", "3", "--expr", "-F.G")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "dlv: error: argument --expr: expected one argument"
+
+
 @pytest.mark.parametrize(
     "expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parens", "minus"]
 )

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from dlv import (
     InvalidParameter,
     MismatchedModel,
+    MorphismMap,
     PointSpec,
     blow_up,
     blowup_section_transfer,
@@ -118,6 +120,24 @@ def test_blow_up_label_collision_rejected(tower_3):
             [PointSpec("p", {})],
             exceptional_labels=("F",),
         )
+
+
+def test_blow_up_needs_one_label_per_point():
+    model = build_abelian_product(3)
+    with pytest.raises(InvalidParameter, match="^need 1 exceptional labels, got 2$"):
+        blow_up(model, [PointSpec("p")], exceptional_labels=("e_1", "e_2"))
+
+
+def test_morphism_kind_is_checked():
+    with pytest.raises(InvalidParameter, match="^unknown morphism kind 'flop'$"):
+        MorphismMap("flop", "up", "down", 3)
+
+
+def test_tower_model_of_refuses_a_foreign_class(tower_3):
+    assert tower_3.model_of(tower_3.classes["L"]) is tower_3.base_blowup
+    foreign = build_tower(5).classes["A"]
+    with pytest.raises(MismatchedModel, match=re.escape(f"{foreign.model_id!r} is not a model")):
+        tower_3.model_of(foreign)
 
 
 def test_strict_transform_of_member():
@@ -281,7 +301,7 @@ def test_transfer_inverts_strict_transform(data):
     mults = data.draw(st.lists(st.integers(0, 100), min_size=k, max_size=k))
     strict = strict_transform(morphism, d, mults)
     assert strict.model_id == up.model_id and len(strict.coeffs) == up.size
-    assert blowup_section_transfer(morphism, strict) == (d, mults)
+    assert blowup_section_transfer(morphism, strict, "cited")[:2] == (d, mults)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 11])

@@ -1,4 +1,5 @@
 import functools
+import re
 import sys
 
 import pytest
@@ -118,6 +119,14 @@ def test_mixed_scalar_class_sum_rejected():
 def test_cross_model_pairing_rejected():
     with pytest.raises(MismatchedModel):
         evaluate(3, "A.D")
+
+
+def test_pairing_needs_the_model_of_its_class():
+    tower = build_tower(3)
+    where = tower.base_blowup.model_id
+    with pytest.raises(ExprError, match=re.escape(f"no model available for pairing on {where!r}")):
+        parse_expr("L.L", tower.base, named=dict(tower.classes))
+    assert evaluate(3, "L.L") == -4
 
 
 def test_trailing_garbage_rejected():

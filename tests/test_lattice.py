@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,7 @@ from dlv import (
     build_abelian_product,
     format_class,
 )
-from dlv.lattice import check_on, exact_int
+from dlv.lattice import SURFACE_KINDS, check_on, exact_int
 
 
 def test_pair_fiber_with_kernel_curve():
@@ -126,6 +127,42 @@ def test_malformed_fields_are_invalid_models(field, value, message):
     fields = {"model_id": "x", "basis": ("a",), "gram": ((0,),), field: value}
     with pytest.raises(InvalidModel, match=message):
         SurfaceModel(**fields)
+
+
+_CURVE = RegisteredCurve("c", DivisorClass("x", (1,)))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"basis": (), "gram": ()}, "a surface model needs at least one basis class"),
+        ({"basis": ("a", "a"), "gram": ((0, 0), (0, 0))}, "basis labels must be unique"),
+        ({"kind": "k3"}, f"'kind' must be one of {SURFACE_KINDS}, got 'k3'"),
+        ({"curves": (_CURVE, _CURVE)}, "duplicate registered curve label 'c'"),
+        (
+            {"curves": (RegisteredCurve("c", DivisorClass("y", (1,))),)},
+            "registered curve 'c' belongs to model 'y', not 'x'",
+        ),
+        ({"exceptional_labels": ("e",)}, "exceptional label 'e' is not a basis label"),
+    ],
+    ids=["empty-basis", "duplicate-basis", "kind", "duplicate-curve", "foreign-curve",
+         "exceptional-label"],
+)
+def test_a_model_that_breaks_an_invariant_is_refused(fields, message):
+    fields = {"model_id": "x", "basis": ("a",), "gram": ((0,),), **fields}
+    with pytest.raises(InvalidModel, match=f"^{re.escape(message)}$"):
+        SurfaceModel(**fields)
+
+
+def test_a_model_refuses_a_class_or_label_it_does_not_have():
+    model = build_abelian_product(3)
+    with pytest.raises(InvalidModel, match="^expected 3 coefficients, got 2$"):
+        model.divisor_class((1, 0))
+    where = re.escape(repr(model.model_id))
+    with pytest.raises(InvalidParameter, match=f"^'Q' is not a basis label of {where}$"):
+        model.basis_class("Q")
+    with pytest.raises(InvalidParameter, match=f"^'Q' is not a registered curve of {where}$"):
+        model.curve("Q")
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from dlv import (
     pullback,
 )
 from dlv.linsys import (
+    COVER_SPLIT_CITATION,
     NEF_RULE_CITATION,
     WITNESS_FAILED_CITATION,
     _first_all_negative,
@@ -37,7 +38,7 @@ from stepwise_reference import _solve_exact, stepwise_forcing
 def test_certificate_below_threshold(tower_5):
     base = tower_5.classes
     target = 3 * base["A"] - base["R"]
-    pairing, record = certify_not_effective(tower_5.base, target, base["G_n"])
+    pairing, record = certify_not_effective(tower_5.base, target, "Gamma_n")
     assert pairing == 4 * (3 - 1) - 25  # == -17
     assert record == {
         "rule": "noneffectivity-on-abelian",
@@ -49,7 +50,7 @@ def test_certificate_below_threshold(tower_5):
 def test_certificate_refused_at_boundary(tower_3):
     base = tower_3.classes
     target = 4 * base["A"] - base["R"]
-    pairing, record = certify_not_effective(tower_3.base, target, base["G_n"])
+    pairing, record = certify_not_effective(tower_3.base, target, "Gamma_n")
     assert pairing == 4 * (4 - 1) - 9  # == 3, the boundary
     assert record == {
         "rule": "noneffectivity-witness-failed",
@@ -57,16 +58,14 @@ def test_certificate_refused_at_boundary(tower_3):
         "values": {"witness": "Gamma_n", "pairing": 3},
     }
     # a pairing of exactly 0 certifies nothing either
-    pairing, record = certify_not_effective(tower_3.base, base["G_n"], base["G_n"])
+    pairing, record = certify_not_effective(tower_3.base, base["G_n"], "Gamma_n")
     assert pairing == 0
     assert record["rule"] == "noneffectivity-witness-failed"
     assert record["values"] == {"witness": "Gamma_n", "pairing": 0}
 
 
 def test_certificate_for_negated_fiber(tower_3):
-    pairing, record = certify_not_effective(
-        tower_3.base, -tower_3.classes["F"], tower_3.classes["G_n"]
-    )
+    pairing, record = certify_not_effective(tower_3.base, -tower_3.classes["F"], "Gamma_n")
     assert pairing == record["values"]["pairing"] == -4
     assert record["rule"] == "noneffectivity-on-abelian"
 
@@ -74,13 +73,13 @@ def test_certificate_for_negated_fiber(tower_3):
 def test_certificate_needs_abelian_model(tower_3):
     bb = tower_3.base_blowup
     with pytest.raises(InvalidParameter, match="the nef witness rule needs an abelian model"):
-        certify_not_effective(bb, -bb.curve("F'").cls, bb.curve("Gamma_n'").cls)
+        certify_not_effective(bb, -bb.curve("F'").cls, "Gamma_n'")
 
 
 def test_certificate_needs_registered_witness(tower_3):
-    strange = tower_3.base.divisor_class((1, 1, 1))
-    with pytest.raises(InvalidParameter, match="the witness must be a registered curve"):
-        certify_not_effective(tower_3.base, -tower_3.classes["F"], strange)
+    where = re.escape(repr(tower_3.base.model_id))
+    with pytest.raises(InvalidParameter, match=f"^'R' is not a registered curve of {where}$"):
+        certify_not_effective(tower_3.base, -tower_3.classes["F"], "R")
 
 
 # -- cover section split ------------------------------------------------------
@@ -88,14 +87,19 @@ def test_certificate_needs_registered_witness(tower_3):
 
 def test_cover_split_returns_both_summands(tower_3):
     member, half = tower_3.classes["A"], tower_3.classes["R"]
-    first, second = cover_section_split(tower_3.cover_map, 2 * member)
+    first, second, record = cover_section_split(tower_3.cover_map, 2 * member)
     assert first == 2 * member
     assert second == 2 * member - half
+    assert record == {
+        "rule": "cover-section-split",
+        "citation": COVER_SPLIT_CITATION,
+        "values": {"M": list(first.coeffs), "M_minus_R": list(second.coeffs)},
+    }
 
 
 def test_cover_split_of_half_branch_is_zero(tower_3):
     half = tower_3.classes["R"]
-    first, second = cover_section_split(tower_3.cover_map, half)
+    first, second, _ = cover_section_split(tower_3.cover_map, half)
     assert first == half
     assert second.is_zero
 
@@ -106,7 +110,7 @@ def test_cover_split_second_summand_pairing(tower_3):
         tower_3.classes["R"],
         tower_3.classes["G_n"],
     )
-    _, second = cover_section_split(tower_3.cover_map, 1 * member)
+    _, second, _ = cover_section_split(tower_3.cover_map, 1 * member)
     assert tower_3.base.pair(second, kernel) == 4 * 0 - 9  # == -9
 
 
@@ -133,17 +137,26 @@ def test_cover_split_needs_a_class_on_the_base(tower_3, where):
 
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_transfer_from_top_surface(tower_3, m):
-    down, orders = blowup_section_transfer(
-        tower_3.cover_blowup_map, m * tower_3.classes["D"]
-    )
+    up = m * tower_3.classes["D"]
+    down, orders, record = blowup_section_transfer(tower_3.cover_blowup_map, up, "cited")
     assert orders == [2 * m] * 3
     assert down == pullback(tower_3.cover_map, m * tower_3.classes["A"])
+    assert record == {
+        "rule": "blowup-section-transfer",
+        "citation": "cited",
+        "values": {
+            "surface": tower_3.cover_blowup.model_id,
+            "class": list(up.coeffs),
+            "downstairs_class": list(down.coeffs),
+            "vanishing_orders": orders,
+        },
+    }
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_transfer_from_blown_up_base(tower_3, m):
-    down, orders = blowup_section_transfer(
-        tower_3.base_blowup_map, m * tower_3.classes["L"]
+    down, orders, _ = blowup_section_transfer(
+        tower_3.base_blowup_map, m * tower_3.classes["L"], "cited"
     )
     assert orders == [2 * m] * 3
     assert down == m * tower_3.classes["A"]
@@ -151,7 +164,7 @@ def test_transfer_from_blown_up_base(tower_3, m):
 
 def test_transfer_of_pure_pullback(tower_3):
     up_f = pullback(tower_3.base_blowup_map, tower_3.classes["F"])
-    down, orders = blowup_section_transfer(tower_3.base_blowup_map, up_f)
+    down, orders, _ = blowup_section_transfer(tower_3.base_blowup_map, up_f, "cited")
     assert down == tower_3.classes["F"]
     assert orders == [0, 0, 0]
 
@@ -160,12 +173,17 @@ def test_transfer_rejects_positive_exceptional_part(tower_3):
     bb = tower_3.base_blowup
     bad = pullback(tower_3.base_blowup_map, tower_3.classes["F"]) + bb.basis_class("e_1")
     with pytest.raises(InvalidParameter, match="include a positive entry"):
-        blowup_section_transfer(tower_3.base_blowup_map, bad)
+        blowup_section_transfer(tower_3.base_blowup_map, bad, "cited")
 
 
 def test_transfer_rejects_wrong_model(tower_3):
     with pytest.raises(MismatchedModel):
-        blowup_section_transfer(tower_3.base_blowup_map, tower_3.classes["A"])
+        blowup_section_transfer(tower_3.base_blowup_map, tower_3.classes["A"], "cited")
+
+
+def test_transfer_needs_a_blowup(tower_3):
+    with pytest.raises(InvalidParameter, match="^blowup_section_transfer needs a blow-up morphism$"):
+        blowup_section_transfer(tower_3.cover_map, tower_3.classes["A"], "cited")
 
 
 @pytest.mark.parametrize(
@@ -177,7 +195,7 @@ def test_transfer_rejects_wrong_length(tower_3, coeffs):
     # a class on the blow-up's id with too few or too many coefficients
     d = DivisorClass(tower_3.base_blowup.model_id, coeffs)
     with pytest.raises(InvalidParameter, match="class does not fit the blow-up shape"):
-        blowup_section_transfer(tower_3.base_blowup_map, d)
+        blowup_section_transfer(tower_3.base_blowup_map, d, "cited")
 
 
 # -- fixed-component forcing --------------------------------------------------

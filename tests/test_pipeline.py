@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 
 from dlv import (
     BEYOND_THRESHOLD,
+    FAILED,
+    DivisorClass,
     Inconclusive,
+    MorphismMap,
+    RegisteredCurve,
+    SurfaceModel,
+    Tower,
     UniqueMember,
     VERIFIED,
     InvalidParameter,
@@ -21,7 +27,7 @@ from dlv import (
     verify,
     verify_instance,
 )
-from dlv.linsys import ForcingRun
+from dlv.linsys import ForcingRun, ForcingTrace
 from dlv.pipeline import VerificationReport
 from dlv.schema import REPORT_SCHEMA, IntRuns, validate_document
 
@@ -273,6 +279,97 @@ def test_internal_contradiction_yields_failed():
     assert result["h0"] == "unknown"
 
 
+def _with_gram(model, entries):
+    """``model`` with the Gram entries ``{(i, j): value}`` set, symmetrically."""
+    gram = [list(row) for row in model.gram]
+    for (i, j), value in entries.items():
+        gram[i][j] = gram[j][i] = value
+    return SurfaceModel(
+        model.model_id, model.basis, gram, model.curves, model.kind, model.exceptional_labels
+    )
+
+
+def _tampered(tower, classes=(), **fields):
+    """``tower`` with some of its fields, and some named classes, replaced."""
+    values = {name: getattr(tower, name) for name in Tower._fields}
+    values.update(fields, classes={**tower.classes, **dict(classes)})
+    return Tower(**values)
+
+
+def _top_orders_off(t):
+    # exceptional classes of square -4 carry a class of square 4 that
+    # vanishes to order 1, not 2, at each node
+    up = _with_gram(t.cover_blowup, {(3, 3): -4, (4, 4): -4, (5, 5): -4})
+    return _tampered(t, {"D": up.divisor_class((1, 0, 1, -1, -1, -1))}, cover_blowup=up)
+
+
+def _top_lands_elsewhere(t):
+    # the pullback of -A, less the same exceptional part, also has square 4
+    return _tampered(t, {"D": t.cover_blowup.divisor_class((-1, 0, -1, -2, -2, -2))})
+
+
+def _split_by_another_half(t):
+    # F + G + Gamma_n pairs with Gamma_n as R = F + G does, so only the
+    # split's own check sees it
+    c = t.cover_map
+    cover_map = MorphismMap(
+        c.kind, c.source_model, c.target_model, c.target_size, c.exceptional_labels,
+        t.base.divisor_class((1, 1, 1)),
+    )
+    return _tampered(t, cover_map=cover_map)
+
+
+def _witness_off(t):
+    # G.Gamma_n = n^2 + 1 leaves A^2 = 8 and moves the witness pairing by -1
+    return _tampered(t, base=_with_gram(t.base, {(1, 2): 10}))
+
+
+def _base_lands_elsewhere(t):
+    # a blow-up map onto a base the tower does not have
+    b = t.base_blowup_map
+    base_blowup_map = MorphismMap(
+        b.kind, b.source_model, "elsewhere", b.target_size, b.exceptional_labels
+    )
+    return _tampered(t, base_blowup_map=base_blowup_map)
+
+
+def _renamed_fiber(t):
+    bb = t.base_blowup
+    curves = (RegisteredCurve("Phi", bb.curve("F'").cls), *bb.curves[1:])
+    renamed = SurfaceModel(
+        bb.model_id, bb.basis, bb.gram, curves, bb.kind, bb.exceptional_labels
+    )
+    return _tampered(t, base_blowup=renamed)
+
+
+def _headline_square_off(t):
+    return _tampered(t, cover_blowup=_with_gram(t.cover_blowup, {(5, 5): -2}))
+
+
+@pytest.mark.parametrize(
+    "tamper, detail",
+    [
+        pytest.param(tamper, detail, id=tamper.__name__[1:])
+        for tamper, detail in [
+            (_top_orders_off, "top-surface vanishing orders [2, 2, 2] != [4, 4, 4]"),
+            (_top_lands_elsewhere, "top-surface transfer does not land on the pulled-back multiple"),
+            (_split_by_another_half, "cover split summands are not (M, M - R)"),
+            (_witness_off, "witness pairing -6 != 4(m-1) - n^2 = -5"),
+            (_base_lands_elsewhere, "blown-up-base transfer does not match the member multiple"),
+            (_renamed_fiber, "unexpected decomposition {'Phi': 2, \"Gamma_n'\": 2}"),
+            (_headline_square_off, "headline self-intersection 0 != 4"),
+        ]
+    ],
+)
+def test_each_closed_form_check_fails_the_instance_alone(tower_3, tamper, detail):
+    # one closed form broken, so the instance fails with its line alone
+    result = verify_instance(3, 2, tower=tamper(tower_3))
+    assert result["status"] == FAILED
+    assert result["h0"] == "unknown"
+    (failed,) = [a for a in result["certificate_chain"] if a["rule"] == "internal-check-failed"]
+    assert failed["values"]["details"] == [detail]
+
+
 def test_instance_rejects_mismatched_tower():
     from dlv import build_tower
 
@@ -306,6 +403,7 @@ def test_a_report_keeps_memory_that_grows_with_its_instances_not_its_pairings():
     "record",
     [
         ForcingRun((), (), (), 1),
+        ForcingTrace(DivisorClass("x", (0,)), (), UniqueMember(())),
         UniqueMember(()),
         Inconclusive("cap"),
         VerificationReport(3, 3, (), "s"),

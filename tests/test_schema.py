@@ -124,6 +124,9 @@ def test_violation_names_the_deepest_path(value, path):
     with pytest.raises(SchemaViolation) as info:
         validate_document(doc)
     assert str(info.value).startswith(path + ": ")
+    # the `path` attribute is the path the message names
+    keys = info.value.path
+    assert "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys) == path
 
 
 @pytest.mark.parametrize(
