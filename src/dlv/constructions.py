@@ -11,7 +11,8 @@ Two generic constructions act on declared lattice models:
 
 Both keep the base basis, in order, as the first labels of the new basis
 (a blow-up appends its exceptional labels), so pulling a class back keeps
-its coefficients and adds a 0 for each exceptional class.
+its coefficients and adds a 0 for each exceptional class.  Each also
+returns the :class:`MorphismMap` that holds the new model and the base.
 
 The specific tower this package verifies starts from the product of an
 elliptic curve with itself.  Writing F and G for the two fiber classes and
@@ -36,35 +37,46 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import InvalidParameter, MismatchedModel
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_on, exact_int
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, exact_int
 
 
 class MorphismMap(Value):
     """Pullback data for a blow-up or a double cover.
 
-    ``source_model`` is the constructed surface (the domain of the
-    morphism), ``target_model`` the base it maps onto, and ``target_size``
-    the size of the base basis.  Both constructions keep the base basis,
-    in order, as the first labels of the new one; a blow-up appends its
-    ``exceptional_labels``.  So a pullback keeps a class's coefficients and
-    puts 0 on each exceptional class.  Covers retain the half-branch class
-    for later section splitting.
+    ``source`` is the constructed surface (the domain of the morphism) and
+    ``target`` the base it maps onto, both as ``SurfaceModel``s.  Both
+    constructions keep the base basis, in order, as the first labels of the
+    new one, and a blow-up appends its ``exceptional_labels``, read from the
+    two models.  So a pullback keeps a class's coefficients and puts 0 on
+    each exceptional class.  Covers retain the half-branch class, a class
+    on the target, for later section splitting.
     """
 
-    __slots__ = _fields = ("kind", "source_model", "target_model", "target_size",
-                           "exceptional_labels", "branch_half")
+    __slots__ = _fields = ("kind", "source", "target", "branch_half")
 
-    def __init__(self, kind: str, source_model: str, target_model: str, target_size: int,
-                 exceptional_labels: tuple[str, ...] = (),
+    def __init__(self, kind: str, source: SurfaceModel, target: SurfaceModel,
                  branch_half: DivisorClass | None = None):
         if kind not in ("blowup", "cover"):
             raise InvalidParameter(f"unknown morphism kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "source_model", source_model)
-        _set(self, "target_model", target_model)
-        _set(self, "target_size", target_size)
-        _set(self, "exceptional_labels", exceptional_labels)
-        _set(self, "branch_half", branch_half)
+        for end, model in (("source", source), ("target", target)):
+            if not isinstance(model, SurfaceModel):
+                raise InvalidParameter(
+                    f"the {end} of a morphism must be a SurfaceModel, got {type(model).__name__}"
+                )
+        cover = kind == "cover"
+        if source.basis[:target.size] != target.basis or (source.size == target.size) != cover:
+            shape = "equal to" if cover else "longer than, and opening with,"
+            raise InvalidParameter(f"a {kind} needs a source basis {shape} its target's: "
+                                   f"{source.basis} over {target.basis}")
+        if (branch_half is not None) != cover:
+            raise InvalidParameter(f"a {kind} {'needs a' if cover else 'takes no'} branch half")
+        if cover:
+            target._check_owned(branch_half)
+        self._set_fields(kind, source, target, branch_half)
+
+    @property
+    def exceptional_labels(self) -> tuple[str, ...]:
+        return self.source.basis[self.target.size:]
 
 
 class PointSpec(Value):
@@ -81,6 +93,8 @@ class PointSpec(Value):
     __slots__ = _fields = ("label", "declared_multiplicities")
 
     def __init__(self, label: str, declared_multiplicities: Mapping[str, int] = {}):
+        if not isinstance(label, str):
+            raise InvalidParameter(f"point labels must be strings, got {label!r}")
         given = declared_multiplicities  # read, never stored, so a shared default is safe
         if not isinstance(given, Mapping):
             raise InvalidParameter(
@@ -103,9 +117,9 @@ class PointSpec(Value):
 
 def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
     """Pull ``d`` back: its coefficients, then a 0 per exceptional class."""
-    check_on(d, morphism.target_model, morphism.target_size)
-    zeros = (0,) * len(morphism.exceptional_labels)
-    return DivisorClass(morphism.source_model, d.coeffs + zeros)
+    source, target = morphism.source, morphism.target
+    target._check_owned(d)
+    return DivisorClass(source.model_id, d.coeffs + (0,) * (source.size - target.size))
 
 
 def blow_up(
@@ -153,21 +167,10 @@ def blow_up(
         (0,) * (old_n + i) + (-1,) + (0,) * (k - 1 - i) for i in range(k)
     ]
 
-    morphism = MorphismMap(
-        kind="blowup",
-        source_model=new_id,
-        target_model=model.model_id,
-        target_size=old_n,
-        exceptional_labels=exceptional_labels,
-    )
-
-    curves = [
-        RegisteredCurve(
-            curve.label + "'",
-            strict_transform(morphism, curve.cls, [p.multiplicity(curve.label) for p in points]),
-        )
-        for curve in model.curves
-    ]
+    curves = []
+    for c in model.curves:
+        tail = tuple([-p.multiplicity(c.label) for p in points])
+        curves.append(RegisteredCurve(c.label + "'", DivisorClass(new_id, c.cls.coeffs + tail)))
 
     new_model = SurfaceModel(
         model_id=new_id,
@@ -177,7 +180,7 @@ def blow_up(
         kind="blowup",
         exceptional_labels=model.exceptional_labels + exceptional_labels,
     )
-    return new_model, morphism
+    return new_model, MorphismMap("blowup", new_model, model)
 
 
 def strict_transform(
@@ -192,8 +195,8 @@ def strict_transform(
         raise InvalidParameter(f"need {k} multiplicities, got {len(mults)}")
     for label, m in zip(morphism.exceptional_labels, mults):
         exact_int(m, f"multiplicity at {label}", 0)
-    check_on(d, morphism.target_model, morphism.target_size)
-    return DivisorClass(morphism.source_model, d.coeffs + tuple([-m for m in mults]))
+    morphism.target._check_owned(d)
+    return DivisorClass(morphism.source.model_id, d.coeffs + tuple([-m for m in mults]))
 
 
 def double_cover(
@@ -208,17 +211,9 @@ def double_cover(
     the cover's structure sheaf splits as O + O(-R) and section counting
     later needs the second summand.
     """
-    model._check_owned(branch_half)
     new_id = f"double_cover({model.model_id})"
     new_gram = [[2 * x for x in row] for row in model.gram]
-    morphism = MorphismMap(
-        kind="cover",
-        source_model=new_id,
-        target_model=model.model_id,
-        target_size=model.size,
-        branch_half=branch_half,
-    )
-    curves = [RegisteredCurve(c.label, pullback(morphism, c.cls)) for c in model.curves]
+    curves = [RegisteredCurve(c.label, DivisorClass(new_id, c.cls.coeffs)) for c in model.curves]
     new_model = SurfaceModel(
         model_id=new_id,
         basis=model.basis,
@@ -227,7 +222,7 @@ def double_cover(
         kind="cover",
         exceptional_labels=model.exceptional_labels,
     )
-    return new_model, morphism
+    return new_model, MorphismMap("cover", new_model, model, branch_half)
 
 
 # -- the verified tower ----------------------------------------------------
@@ -349,14 +344,14 @@ def build_tower(n: int) -> Tower:
     # A_n, the pullback of the member F + Gamma_n: the cover is etale over
     # the three chosen transverse points, so A_n has an ordinary node
     # (declared multiplicity 2) at each chosen preimage
-    cover = cover.with_curve("A_n", pullback(cover_map, member))
+    nodal_member = pullback(cover_map, member)
+    cover = cover.with_curve("A_n", nodal_member)
+    cover_map = MorphismMap("cover", cover, base, ample_half)
     nodal_points = [PointSpec(f"q_{i}", {"F": 1, "Gamma_n": 1, "A_n": 2}) for i in (1, 2, 3)]
     cover_blowup, cover_blowup_map = blow_up(
         cover, nodal_points, exceptional_labels=("E_1", "E_2", "E_3")
     )
-    headline_cls = strict_transform(
-        cover_blowup_map, pullback(cover_map, member), (2, 2, 2)
-    )  # D
+    headline_cls = strict_transform(cover_blowup_map, nodal_member, (2, 2, 2))  # D
 
     classes = {
         "F": f_cls,

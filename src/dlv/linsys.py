@@ -51,8 +51,8 @@ from __future__ import annotations
 from operator import mul, sub
 
 from .constructions import MorphismMap
-from .errors import InvalidParameter, MismatchedModel
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_on, exact_int
+from .errors import InvalidParameter
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, exact_int
 from .schema import IntRuns
 
 NEF_RULE_CITATION = (
@@ -123,9 +123,9 @@ def cover_section_split(
     where R is the retained half-branch class, and the
     ``cover-section-split`` record.
     """
-    if morphism.kind != "cover" or morphism.branch_half is None:
+    if morphism.kind != "cover":
         raise InvalidParameter("cover_section_split needs a double-cover morphism")
-    check_on(m_cls, morphism.target_model, morphism.target_size)
+    morphism.target._check_owned(m_cls)
     second = m_cls - morphism.branch_half
     values = {"M": list(m_cls.coeffs), "M_minus_R": list(second.coeffs)}
     record = {"rule": "cover-section-split", "citation": COVER_SPLIT_CITATION, "values": values}
@@ -143,19 +143,14 @@ def blowup_section_transfer(
     names the points it runs through).  This is bookkeeping for the
     certificate chain; the section spaces upstairs and downstairs-with-
     vanishing are identified.  M is the head of the coefficient vector,
-    the k_i the negated tail.  Raises :class:`InvalidParameter` when
-    some k_i would be negative or the class has the wrong length.
+    the k_i the negated tail.  Raises :class:`MismatchedModel` for a
+    class that is not on the blow-up and :class:`InvalidParameter` when
+    some k_i would be negative.
     """
     if morphism.kind != "blowup":
         raise InvalidParameter("blowup_section_transfer needs a blow-up morphism")
-    if d.model_id != morphism.source_model:
-        raise MismatchedModel(
-            f"expected a class on the blow-up {morphism.source_model!r}, "
-            f"got {d.model_id!r}"
-        )
-    size = morphism.target_size
-    if len(d.coeffs) != size + len(morphism.exceptional_labels):
-        raise InvalidParameter("class does not fit the blow-up shape")
+    morphism.source._check_owned(d)
+    size = morphism.target.size
     tail = d.coeffs[size:]
     if any(c > 0 for c in tail):
         raise InvalidParameter(
@@ -165,13 +160,13 @@ def blowup_section_transfer(
     head = d.coeffs[:size]
     orders = [-c for c in tail]
     values = {
-        "surface": morphism.source_model,
+        "surface": morphism.source.model_id,
         "class": list(d.coeffs),
         "downstairs_class": list(head),
         "vanishing_orders": orders[:],
     }
     record = {"rule": "blowup-section-transfer", "citation": citation, "values": values}
-    return DivisorClass(morphism.target_model, head), orders, record
+    return DivisorClass(morphism.target.model_id, head), orders, record
 
 
 # -- fixed-component forcing -------------------------------------------------

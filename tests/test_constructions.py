@@ -106,6 +106,13 @@ def test_point_spec_needs_a_mapping(given):
         PointSpec("p", given)
 
 
+@pytest.mark.parametrize("label", [5, None, ("p",)], ids=repr)
+def test_point_spec_needs_a_string_label(label):
+    message = f"^point labels must be strings, got {re.escape(repr(label))}$"
+    with pytest.raises(InvalidParameter, match=message):
+        PointSpec(label, {})
+
+
 def test_point_spec_stores_sorted_pairs():
     spec = PointSpec("p", {"Gamma_n": 1, "F": 2})
     assert spec.declared_multiplicities == (("F", 2), ("Gamma_n", 1))
@@ -131,6 +138,96 @@ def test_blow_up_needs_one_label_per_point():
 def test_morphism_kind_is_checked():
     with pytest.raises(InvalidParameter, match="^unknown morphism kind 'flop'$"):
         MorphismMap("flop", "up", "down", 3)
+
+
+_BASE = "('F', 'G', 'Gamma_n')"
+_BASE_BLOWUP = "('F', 'G', 'Gamma_n', 'e_1', 'e_2', 'e_3')"
+_COVER_BLOWUP = "('F', 'G', 'Gamma_n', 'E_1', 'E_2', 'E_3')"
+_EQUAL = "a cover needs a source basis equal to its target's: "
+_LONGER = "a blowup needs a source basis longer than, and opening with, its target's: "
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(
+            lambda t: MorphismMap("cover", "a", t.base, t.classes["R"]),
+            InvalidParameter, "the source of a morphism must be a SurfaceModel, got str",
+            id="source-not-a-model",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("blowup", t.base_blowup, t.base.model_id),
+            InvalidParameter, "the target of a morphism must be a SurfaceModel, got str",
+            id="target-not-a-model",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("blowup", t.cover_blowup, t.base_blowup),
+            InvalidParameter,
+            f"{_LONGER}{_COVER_BLOWUP} over {_BASE_BLOWUP}",
+            id="basis-does-not-open-with-the-target",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("blowup", t.base, t.base_blowup),
+            InvalidParameter,
+            f"{_LONGER}{_BASE} over {_BASE_BLOWUP}",
+            id="source-smaller-than-target",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("cover", t.base_blowup, t.base, t.classes["R"]),
+            InvalidParameter,
+            f"{_EQUAL}{_BASE_BLOWUP} over {_BASE}",
+            id="cover-sizes-differ",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("cover", t.cover_blowup, t.base_blowup, t.classes["L"]),
+            InvalidParameter,
+            f"{_EQUAL}{_COVER_BLOWUP} over {_BASE_BLOWUP}",
+            id="cover-basis-differs",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("blowup", t.cover, t.base),
+            InvalidParameter, f"{_LONGER}{_BASE} over {_BASE}",
+            id="blowup-appends-nothing",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("cover", t.cover, t.base),
+            InvalidParameter, "a cover needs a branch half",
+            id="cover-half-missing",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("cover", t.cover, t.base, t.classes["L"]),
+            MismatchedModel,
+            "class belongs to model 'blowup(abelian_product(n=3);e_1,e_2,e_3)', "
+            "not 'abelian_product(n=3)'",
+            id="cover-half-on-another-model",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("cover", t.cover, t.base, (1, 1, 0)),
+            TypeError, "expected a DivisorClass, got tuple",
+            id="cover-half-not-a-class",
+        ),
+        pytest.param(
+            lambda t: MorphismMap("blowup", t.base_blowup, t.base, t.classes["R"]),
+            InvalidParameter, "a blowup takes no branch half",
+            id="blowup-given-a-half",
+        ),
+    ],
+)
+def test_a_malformed_morphism_is_refused_when_built(tower_3, make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make(tower_3)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_tower_maps_hold_the_tower_models(n):
+    t = build_tower(n)
+    assert t.base_blowup_map.source is t.base_blowup and t.base_blowup_map.target is t.base
+    assert t.cover_map.source is t.cover and t.cover_map.target is t.base
+    assert t.cover_blowup_map.source is t.cover_blowup and t.cover_blowup_map.target is t.cover
+    assert t.cover.has_curve("A_n") and t.cover_map.branch_half == t.classes["R"]
+    assert t.base_blowup_map.exceptional_labels == ("e_1", "e_2", "e_3")
+    assert t.cover_blowup_map.exceptional_labels == ("E_1", "E_2", "E_3")
+    assert t.cover_map.exceptional_labels == ()
 
 
 def test_tower_model_of_refuses_a_foreign_class(tower_3):

@@ -194,7 +194,8 @@ def test_transfer_needs_a_blowup(tower_3):
 def test_transfer_rejects_wrong_length(tower_3, coeffs):
     # a class on the blow-up's id with too few or too many coefficients
     d = DivisorClass(tower_3.base_blowup.model_id, coeffs)
-    with pytest.raises(InvalidParameter, match="class does not fit the blow-up shape"):
+    message = f"^class has {len(coeffs)} coefficients, expected 6$"
+    with pytest.raises(MismatchedModel, match=message):
         blowup_section_transfer(tower_3.base_blowup_map, d, "cited")
 
 

@@ -311,11 +311,7 @@ def _top_lands_elsewhere(t):
 def _split_by_another_half(t):
     # F + G + Gamma_n pairs with Gamma_n as R = F + G does, so only the
     # split's own check sees it
-    c = t.cover_map
-    cover_map = MorphismMap(
-        c.kind, c.source_model, c.target_model, c.target_size, c.exceptional_labels,
-        t.base.divisor_class((1, 1, 1)),
-    )
+    cover_map = MorphismMap("cover", t.cover, t.base, t.base.divisor_class((1, 1, 1)))
     return _tampered(t, cover_map=cover_map)
 
 
@@ -326,11 +322,8 @@ def _witness_off(t):
 
 def _base_lands_elsewhere(t):
     # a blow-up map onto a base the tower does not have
-    b = t.base_blowup_map
-    base_blowup_map = MorphismMap(
-        b.kind, b.source_model, "elsewhere", b.target_size, b.exceptional_labels
-    )
-    return _tampered(t, base_blowup_map=base_blowup_map)
+    elsewhere = SurfaceModel("elsewhere", t.base.basis, t.base.gram)
+    return _tampered(t, base_blowup_map=MorphismMap("blowup", t.base_blowup, elsewhere))
 
 
 def _renamed_fiber(t):

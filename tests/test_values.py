@@ -63,17 +63,7 @@ FIELDS = {
         ("model_id", "basis", "gram", "curves", "kind", "exceptional_labels"),
         ("_basis_index", "_forcing_plan"),
     ),
-    MorphismMap: (
-        (
-            "kind",
-            "source_model",
-            "target_model",
-            "target_size",
-            "exceptional_labels",
-            "branch_half",
-        ),
-        (),
-    ),
+    MorphismMap: (("kind", "source", "target", "branch_half"), ()),
     PointSpec: (("label", "declared_multiplicities"), ()),
     Tower: (
         (
