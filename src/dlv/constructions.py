@@ -24,8 +24,8 @@ a connected smooth elliptic curve), the declared intersection numbers are
 F meets Gamma_n transversely in four points; three of them get blown up on
 the base, and the corresponding three chosen preimages on the double cover
 (branched away from those points, along a smooth member of |2(F+G)|) get
-blown up upstairs.  ``build_tower`` assembles all four models plus the
-named classes the verifier and the CLI work with.
+blown up upstairs.  ``build_tower`` assembles the three maps between the
+four models, plus the named classes the verifier and the CLI work with.
 
 Multiplicities of curves at blown-up points are *declared inputs* carried
 by :class:`PointSpec` (a lattice model cannot compute geometric
@@ -35,6 +35,7 @@ multiplicity): transverse crossings contribute 1, ordinary nodes 2.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import attrgetter
 
 from .errors import InvalidParameter, MismatchedModel
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, exact_int
@@ -140,9 +141,10 @@ def blow_up(
     points = tuple(points)
     if not points:
         raise InvalidParameter("blow_up needs at least one point")
+    curve_labels = {c.label for c in model.curves}
     for p in points:
         for label, _ in p.declared_multiplicities:
-            if not model.has_curve(label):
+            if label not in curve_labels:
                 raise InvalidParameter(
                     f"point {p.label!r} declares a multiplicity for {label!r}, "
                     f"which is not a registered curve of {model.model_id!r}"
@@ -286,8 +288,13 @@ def build_abelian_product(n: int) -> SurfaceModel:
 
 
 class Tower(Value):
-    """The four models and three morphisms the verifier works with, plus
-    the named classes bound by reports and the CLI expression grammar:
+    """The three morphisms the verifier works with, plus the named classes
+    bound by reports and the CLI expression grammar.
+
+    The four models are read from the maps' ends.  A tower is refused when
+    built unless its maps are a blow-up, a cover and a blow-up that chain:
+    the cover maps onto the base that ``base_blowup_map`` blows up, and
+    ``cover_blowup_map`` blows up the cover.
 
     ============  =============================  ======================
     name          class                          lives on
@@ -301,17 +308,28 @@ class Tower(Value):
     ============  =============================  ======================
     """
 
-    __slots__ = _fields = ("n", "base", "base_blowup", "cover", "cover_blowup",
-                           "base_blowup_map", "cover_map", "cover_blowup_map", "classes")
+    __slots__ = _fields = ("n", "base_blowup_map", "cover_map", "cover_blowup_map", "classes")
 
-    def __init__(self, n: int, base: SurfaceModel, base_blowup: SurfaceModel, cover: SurfaceModel,
-                 cover_blowup: SurfaceModel, base_blowup_map: MorphismMap, cover_map: MorphismMap,
+    def __init__(self, n: int, base_blowup_map: MorphismMap, cover_map: MorphismMap,
                  cover_blowup_map: MorphismMap, classes: dict[str, DivisorClass]):
-        self._set_fields(n, base, base_blowup, cover, cover_blowup, base_blowup_map, cover_map,
-                         cover_blowup_map, classes)
+        maps = (base_blowup_map, cover_map, cover_blowup_map)
+        for name, f, kind in zip(self._fields[1:4], maps, ("blowup", "cover", "blowup")):
+            got = f.kind if isinstance(f, MorphismMap) else type(f).__name__
+            if got != kind:
+                raise InvalidParameter(f"a tower's {name} must be a {kind} map, got {got!r}")
+        if cover_map.target != base_blowup_map.target:
+            raise InvalidParameter("a tower's cover_map must map onto its base")
+        if cover_blowup_map.target != cover_map.source:
+            raise InvalidParameter("a tower's cover_blowup_map must map onto its cover")
+        self._set_fields(n, *maps, classes)
 
     def _key(self) -> tuple:  # ``classes`` is left out of ``==`` and ``hash``
         return tuple([getattr(self, name) for name in self._fields[:-1]])
+
+    base = property(attrgetter("base_blowup_map.target"))
+    base_blowup = property(attrgetter("base_blowup_map.source"))
+    cover = property(attrgetter("cover_map.source"))
+    cover_blowup = property(attrgetter("cover_blowup_map.source"))
 
     @property
     def models(self) -> tuple[SurfaceModel, ...]:
@@ -337,7 +355,7 @@ def build_tower(n: int) -> Tower:
     member = f_cls + kernel_cls  # A = F + Gamma_n, the verified class downstairs
 
     transverse_points = [PointSpec(f"p_{i}", {"F": 1, "Gamma_n": 1}) for i in (1, 2, 3)]
-    base_blowup, base_blowup_map = blow_up(base, transverse_points)
+    _, base_blowup_map = blow_up(base, transverse_points)
     one_dim_cls = strict_transform(base_blowup_map, member, (2, 2, 2))  # L
 
     cover, cover_map = double_cover(base, ample_half)
@@ -348,9 +366,7 @@ def build_tower(n: int) -> Tower:
     cover = cover.with_curve("A_n", nodal_member)
     cover_map = MorphismMap("cover", cover, base, ample_half)
     nodal_points = [PointSpec(f"q_{i}", {"F": 1, "Gamma_n": 1, "A_n": 2}) for i in (1, 2, 3)]
-    cover_blowup, cover_blowup_map = blow_up(
-        cover, nodal_points, exceptional_labels=("E_1", "E_2", "E_3")
-    )
+    _, cover_blowup_map = blow_up(cover, nodal_points, exceptional_labels=("E_1", "E_2", "E_3"))
     headline_cls = strict_transform(cover_blowup_map, nodal_member, (2, 2, 2))  # D
 
     classes = {
@@ -362,14 +378,4 @@ def build_tower(n: int) -> Tower:
         "L": one_dim_cls,
         "D": headline_cls,
     }
-    return Tower(
-        n=n,
-        base=base,
-        base_blowup=base_blowup,
-        cover=cover,
-        cover_blowup=cover_blowup,
-        base_blowup_map=base_blowup_map,
-        cover_map=cover_map,
-        cover_blowup_map=cover_blowup_map,
-        classes=classes,
-    )
+    return Tower(n, base_blowup_map, cover_map, cover_blowup_map, classes)

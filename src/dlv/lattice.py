@@ -97,17 +97,25 @@ def _exact_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _not_a_model_id(value) -> InvalidModel:
+    """The error for a ``model_id`` that is not a ``str``; each constructor
+    checks inline, as ``DivisorClass`` is built in bulk."""
+    return InvalidModel(f"'model_id' must be a string, got {type(value).__name__}")
+
+
 class DivisorClass(Value):
     """An exact integer coefficient vector over a model's basis.
 
-    The owning model is referenced by id; mixing classes from different
-    models in any arithmetic or pairing is a hard error, never a silent
-    coercion.
+    The owning model is referenced by its id, a ``str``; mixing classes
+    from different models in any arithmetic or pairing is a hard error,
+    never a silent coercion.
     """
 
     __slots__ = _fields = ("model_id", "coeffs")
 
     def __init__(self, model_id: str, coeffs: tuple[int, ...]):
+        if not isinstance(model_id, str):
+            raise _not_a_model_id(model_id)
         _set(self, "model_id", model_id)
         _set(self, "coeffs", _exact_ints(coeffs, "coefficients"))
 
@@ -209,7 +217,7 @@ class SurfaceModel(Value):
                  curves: tuple[RegisteredCurve, ...] = (), kind: str = "other",
                  exceptional_labels: tuple[str, ...] = ()):
         if not isinstance(model_id, str):
-            raise InvalidModel(f"'model_id' must be a string, got {type(model_id).__name__}")
+            raise _not_a_model_id(model_id)
         _set(self, "model_id", model_id)
         fields = {"basis": basis, "curves": curves, "exceptional_labels": exceptional_labels}
         for name, value in fields.items():
@@ -281,15 +289,6 @@ class SurfaceModel(Value):
     def size(self) -> int:
         return len(self.basis)
 
-    def divisor_class(self, coeffs) -> DivisorClass:
-        c = tuple(coeffs)
-        if len(c) != self.size:
-            raise InvalidModel(f"expected {self.size} coefficients, got {len(c)}")
-        return DivisorClass(self.model_id, c)
-
-    def zero(self) -> DivisorClass:
-        return DivisorClass(self.model_id, (0,) * self.size)
-
     def basis_class(self, label: str) -> DivisorClass:
         try:
             i = self._basis_index[label]
@@ -302,13 +301,6 @@ class SurfaceModel(Value):
         return DivisorClass(self.model_id, tuple(coeffs))
 
     # -- registry ---------------------------------------------------------
-
-    @property
-    def curve_labels(self) -> tuple[str, ...]:
-        return tuple([c.label for c in self.curves])
-
-    def has_curve(self, label: str) -> bool:
-        return any(c.label == label for c in self.curves)
 
     def curve(self, label: str) -> RegisteredCurve:
         for c in self.curves:

@@ -30,10 +30,6 @@ class OracleReport(Value):
     def __init__(self, suite: str, trials: int, failures: tuple[str, ...], seed: int):
         self._set_fields(suite, trials, tuple(failures), seed)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def oracle_report_to_dict(report: OracleReport) -> dict:
     return document(

@@ -104,9 +104,9 @@ def stepwise_forcing(
     while True:
         if not any(residual):
             decomposition = tuple(
-                (label, subtracted[label])
-                for label in model.curve_labels
-                if subtracted.get(label, 0) > 0
+                (c.label, subtracted[c.label])
+                for c in model.curves
+                if subtracted.get(c.label, 0) > 0
             )
             conclusion = UniqueMember(decomposition)
             break

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dlv import (
+    DivisorClass,
     InvalidParameter,
     MismatchedModel,
     MorphismMap,
     PointSpec,
+    SurfaceModel,
+    Tower,
     blow_up,
     blowup_section_transfer,
     build_abelian_product,
@@ -17,13 +20,14 @@ from dlv import (
     pullback,
     strict_transform,
 )
+from dlv.lattice import check_on
 
 
 def test_declared_gram_for_smallest_n():
     model = build_abelian_product(3)
     assert model.gram == ((0, 1, 4), (1, 0, 9), (4, 9, 0))
     assert model.kind == "abelian"
-    assert model.curve_labels == ("F", "G", "Gamma_n")
+    assert [c.label for c in model.curves] == ["F", "G", "Gamma_n"]
 
 
 @pytest.mark.parametrize("bad", [2, 4, 1, -3, 0])
@@ -224,10 +228,82 @@ def test_tower_maps_hold_the_tower_models(n):
     assert t.base_blowup_map.source is t.base_blowup and t.base_blowup_map.target is t.base
     assert t.cover_map.source is t.cover and t.cover_map.target is t.base
     assert t.cover_blowup_map.source is t.cover_blowup and t.cover_blowup_map.target is t.cover
-    assert t.cover.has_curve("A_n") and t.cover_map.branch_half == t.classes["R"]
+    assert t.cover.curves[-1].label == "A_n" and t.cover_map.branch_half == t.classes["R"]
     assert t.base_blowup_map.exceptional_labels == ("e_1", "e_2", "e_3")
     assert t.cover_blowup_map.exceptional_labels == ("E_1", "E_2", "E_3")
     assert t.cover_map.exceptional_labels == ()
+
+
+# the table of the ``Tower`` docstring: each model and the classes on it
+_CLASSES_ON = {"base": ("F", "G", "G_n", "R", "A"), "base_blowup": ("L",), "cover_blowup": ("D",)}
+
+
+@pytest.mark.parametrize("n", [3, 7, 21])
+def test_each_named_class_lies_on_its_model(n):
+    t = build_tower(n)
+    assert sorted(t.classes) == sorted(name for names in _CLASSES_ON.values() for name in names)
+    for model_name, names in _CLASSES_ON.items():
+        model = getattr(t, model_name)
+        for name in names:
+            check_on(t.classes[name], model.model_id, model.size)
+
+
+def _base_lands_elsewhere(t):
+    # a blow-up map onto a base the tower does not have
+    elsewhere = SurfaceModel("elsewhere", t.base.basis, t.base.gram)
+    return {"base_blowup_map": MorphismMap("blowup", t.base_blowup, elsewhere)}
+
+
+_NOT_ONTO_BASE = "a tower's cover_map must map onto its base"
+_NOT_ONTO_COVER = "a tower's cover_blowup_map must map onto its cover"
+
+
+@pytest.mark.parametrize(
+    "maps, message",
+    [
+        pytest.param(
+            lambda t: {"base_blowup_map": t.cover_map},
+            "a tower's base_blowup_map must be a blowup map, got 'cover'",
+            id="base-blowup-a-cover",
+        ),
+        pytest.param(
+            lambda t: {"cover_map": t.base_blowup_map},
+            "a tower's cover_map must be a cover map, got 'blowup'",
+            id="cover-a-blowup",
+        ),
+        pytest.param(
+            lambda t: {"cover_blowup_map": t.cover_map},
+            "a tower's cover_blowup_map must be a blowup map, got 'cover'",
+            id="cover-blowup-a-cover",
+        ),
+        pytest.param(
+            lambda t: {"cover_map": t.cover},
+            "a tower's cover_map must be a cover map, got 'SurfaceModel'",
+            id="cover-not-a-map",
+        ),
+        pytest.param(_base_lands_elsewhere, _NOT_ONTO_BASE, id="base_lands_elsewhere"),
+        pytest.param(
+            lambda t: {"cover_map": build_tower(5).cover_map},
+            _NOT_ONTO_BASE,
+            id="cover-of-another-base",
+        ),
+        pytest.param(
+            # the cover as ``double_cover`` returns it, before A_n is registered
+            lambda t: {"cover_map": double_cover(t.base, t.classes["R"])[1]},
+            _NOT_ONTO_COVER,
+            id="cover-without-the-nodal-member",
+        ),
+        pytest.param(
+            lambda t: {"cover_blowup_map": t.base_blowup_map},
+            _NOT_ONTO_COVER,
+            id="top-over-the-base",
+        ),
+    ],
+)
+def test_a_tower_whose_maps_do_not_chain_is_refused(tower_3, maps, message):
+    fields = {name: getattr(tower_3, name) for name in Tower._fields}
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        Tower(**{**fields, **maps(tower_3)})
 
 
 def test_tower_model_of_refuses_a_foreign_class(tower_3):
@@ -297,7 +373,7 @@ def test_double_cover_rejects_foreign_branch_class():
 
 
 def test_pullback_of_zero_is_zero(tower_3):
-    up = pullback(tower_3.base_blowup_map, tower_3.base.zero())
+    up = pullback(tower_3.base_blowup_map, DivisorClass(tower_3.base.model_id, (0, 0, 0)))
     assert up.is_zero
 
 
@@ -307,7 +383,7 @@ def test_pullback_rejects_wrong_model(tower_3):
 
 
 def test_strict_transform_with_zero_multiplicities_is_pullback(tower_3):
-    d = tower_3.base.divisor_class((2, -1, 3))
+    d = DivisorClass(tower_3.base.model_id, (2, -1, 3))
     assert strict_transform(tower_3.base_blowup_map, d, (0, 0, 0)) == pullback(
         tower_3.base_blowup_map, d
     )
@@ -333,8 +409,8 @@ _coeff = st.integers(min_value=-100, max_value=100)
 )
 def test_blow_up_preserves_pairing_of_pullbacks(c1, c2):
     tower = build_tower(5)
-    d1 = tower.base.divisor_class(c1)
-    d2 = tower.base.divisor_class(c2)
+    d1 = DivisorClass(tower.base.model_id, c1)
+    d2 = DivisorClass(tower.base.model_id, c2)
     up1 = pullback(tower.base_blowup_map, d1)
     up2 = pullback(tower.base_blowup_map, d2)
     assert tower.base_blowup.pair(up1, up2) == tower.base.pair(d1, d2)
@@ -346,8 +422,8 @@ def test_blow_up_preserves_pairing_of_pullbacks(c1, c2):
 )
 def test_cover_scales_pairing_by_two(c1, c2):
     tower = build_tower(5)
-    d1 = tower.base.divisor_class(c1)
-    d2 = tower.base.divisor_class(c2)
+    d1 = DivisorClass(tower.base.model_id, c1)
+    d2 = DivisorClass(tower.base.model_id, c2)
     up1 = pullback(tower.cover_map, d1)
     up2 = pullback(tower.cover_map, d2)
     assert tower.cover.pair(up1, up2) == 2 * tower.base.pair(d1, d2)
@@ -385,7 +461,8 @@ def test_pullback_is_the_label_matrix_product(data):
     matrix = [[int(row == col) for col in base.basis] for row in up.basis]
     coeffs = data.draw(st.lists(_coeff, min_size=base.size, max_size=base.size))
     expected = tuple(sum(m * c for m, c in zip(row, coeffs)) for row in matrix)
-    assert pullback(morphism, base.divisor_class(coeffs)) == up.divisor_class(expected)
+    pulled = pullback(morphism, DivisorClass(base.model_id, coeffs))
+    assert pulled == DivisorClass(up.model_id, expected)
 
 
 @given(st.data())
@@ -394,7 +471,8 @@ def test_transfer_inverts_strict_transform(data):
         st.sampled_from([entry for entry in _maps_under_test() if entry[2].kind == "blowup"])
     )
     k = len(morphism.exceptional_labels)
-    d = base.divisor_class(data.draw(st.lists(_coeff, min_size=base.size, max_size=base.size)))
+    coeffs = data.draw(st.lists(_coeff, min_size=base.size, max_size=base.size))
+    d = DivisorClass(base.model_id, coeffs)
     mults = data.draw(st.lists(st.integers(0, 100), min_size=k, max_size=k))
     strict = strict_transform(morphism, d, mults)
     assert strict.model_id == up.model_id and len(strict.coeffs) == up.size

@@ -219,7 +219,8 @@ def test_forcing_single_multiple(tower_5):
 
 
 def test_forcing_zero_class(tower_3):
-    trace = fixed_part_forcing(tower_3.base_blowup, tower_3.base_blowup.zero())
+    bb = tower_3.base_blowup
+    trace = fixed_part_forcing(bb, DivisorClass(bb.model_id, (0,) * bb.size))
     assert isinstance(trace.conclusion, UniqueMember)
     assert trace.conclusion.as_dict() == {}
     assert trace.steps == ()
@@ -268,7 +269,7 @@ def test_forcing_cap(tower_3):
 @pytest.mark.parametrize("start", ["L", "zero"])
 def test_forcing_step_cap_must_be_a_non_negative_int(tower_3, cap, start):
     bb = tower_3.base_blowup
-    d = tower_3.classes["L"] if start == "L" else bb.zero()
+    d = tower_3.classes["L"] if start == "L" else DivisorClass(bb.model_id, (0,) * bb.size)
     with pytest.raises(InvalidParameter, match="step_cap"):
         fixed_part_forcing(bb, d, step_cap=cap)
 
@@ -415,7 +416,8 @@ def test_h0_of_forced_multiple(tower_3):
 
 
 def test_h0_of_zero_class(tower_3):
-    trace = fixed_part_forcing(tower_3.base_blowup, tower_3.base_blowup.zero())
+    bb = tower_3.base_blowup
+    trace = fixed_part_forcing(bb, DivisorClass(bb.model_id, (0,) * bb.size))
     h0, records = h0_unique_member(trace)
     assert h0 == 1
     assert [app["rule"] for app in records] == ["trivial-class"]

@@ -62,13 +62,13 @@ def test_enumeration_agrees_with_forcing(tower_3):
 
 def test_enumeration_check_suite():
     report = enumeration_check(n=3, m_cap=4, coeff_bound=10)
-    assert report.ok
+    assert not report.failures
     assert report.trials == 4
 
 
 def test_enumeration_check_accepts_a_bound_below_the_forced_counts():
     # m = 4 forces {F': 4, Gamma_n': 4}, which a grid bounded by 3 cannot hold
-    assert enumeration_check(coeff_bound=3).ok
+    assert not enumeration_check(coeff_bound=3).failures
 
 
 @pytest.mark.parametrize(
@@ -83,7 +83,6 @@ def test_enumeration_check_rejects_a_wrong_search(monkeypatch, found, bound, fai
 
 def test_identity_suite_small_range():
     report = identity_suite([3, 5, 7], m_max_per_n=10)
-    assert report.ok
     assert report.failures == ()
     # 7 per-n identities + 2 per (n, m)
     assert report.trials == 3 * (7 + 2 * 10)
@@ -92,7 +91,7 @@ def test_identity_suite_small_range():
 def test_forcing_order_independence(tower_3, tower_5):
     for tower in (tower_3, tower_5):
         report = forcing_order_check(tower.base_blowup, tower.classes["L"], m_cap=5)
-        assert report.ok
+        assert not report.failures
         # 3 registered curves -> 6 orders, 5 multiples
         assert report.trials == 30
 
@@ -106,7 +105,7 @@ def test_forcing_order_single_curve_registry():
         curves=(RegisteredCurve("a", DivisorClass(mid, (1,))),),
     )
     report = forcing_order_check(model, DivisorClass(mid, (1,)), m_cap=3)
-    assert report.ok
+    assert not report.failures
 
 
 def test_forcing_order_registry_cap(tower_3):
@@ -120,7 +119,7 @@ def test_forcing_order_registry_cap(tower_3):
 def test_bilinearity_suite_is_clean_and_reproducible():
     first = bilinearity_suite(trials=300, seed=42)
     second = bilinearity_suite(trials=300, seed=42)
-    assert first.ok
+    assert not first.failures
     assert first == second
     assert first.seed == 42
 
@@ -139,8 +138,9 @@ def test_suite_sizes_must_be_non_negative_ints(tower_3, suite, bad):
 
 def test_empty_suites_are_valid(tower_3):
     assert bilinearity_suite(trials=0).trials == 0
-    assert identity_suite([3], m_max_per_n=0).ok
-    assert enumerate_decompositions(tower_3.base_blowup, tower_3.base_blowup.zero(), 0) == [{}]
+    assert not identity_suite([3], m_max_per_n=0).failures
+    bb = tower_3.base_blowup
+    assert enumerate_decompositions(bb, DivisorClass(bb.model_id, (0,) * bb.size), 0) == [{}]
 
 
 class _Int(int):
@@ -335,7 +335,7 @@ def test_a_split_never_has_more_shares_than_trials(monkeypatch, cpus):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     cpus(8)
-    assert bilinearity_suite(trials=3, seed=1).ok
+    assert not bilinearity_suite(trials=3, seed=1).failures
     assert len(forks) == 2
 
 
