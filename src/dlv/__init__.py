@@ -29,7 +29,6 @@ from .lattice import (
 )
 from .constructions import (
     MorphismMap,
-    PointSpec,
     Tower,
     blow_up,
     build_abelian_product,

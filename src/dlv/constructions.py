@@ -27,9 +27,10 @@ the base, and the corresponding three chosen preimages on the double cover
 blown up upstairs.  ``build_tower`` assembles the three maps between the
 four models, plus the named classes the verifier and the CLI work with.
 
-Multiplicities of curves at blown-up points are *declared inputs* carried
-by :class:`PointSpec` (a lattice model cannot compute geometric
-multiplicity): transverse crossings contribute 1, ordinary nodes 2.
+Multiplicities of curves at blown-up points are *declared inputs* (a
+lattice model cannot compute geometric multiplicity), given to
+``blow_up`` under each point's exceptional label: transverse crossings
+contribute 1, ordinary nodes 2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections.abc import Mapping
 from operator import attrgetter
 
 from .errors import InvalidParameter, MismatchedModel
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, exact_int
+from .lattice import _ROWS, DivisorClass, RegisteredCurve, SurfaceModel, Value, check_on, exact_int
 
 
 class MorphismMap(Value):
@@ -80,23 +81,51 @@ class MorphismMap(Value):
         return self.source.basis[self.target.size:]
 
 
-class PointSpec(Value):
-    """A point to blow up, with declared curve multiplicities.
+def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
+    """Pull ``d`` back: its coefficients, then a 0 per exceptional class."""
+    if not isinstance(morphism, MorphismMap):
+        raise InvalidParameter(f"pullback needs a MorphismMap, got {type(morphism).__name__}")
+    source, target = morphism.source, morphism.target
+    target._check_owned(d)
+    return DivisorClass(source.model_id, d.coeffs + (0,) * (source.size - target.size))
 
-    ``declared_multiplicities`` maps registered-curve labels to the
-    multiplicity of that curve at the point (1 for a transverse branch,
-    2 for an ordinary node).  Values are declared geometric inputs, never
-    computed, and each must be an ``int`` >= 0.  Absent labels mean
-    multiplicity 0.  The mapping is stored as sorted (label, multiplicity)
-    pairs.
+
+def blow_up(
+    model: SurfaceModel, points: Mapping[str, Mapping[str, int]]
+) -> tuple[SurfaceModel, MorphismMap]:
+    """Blow up declared points of ``model``.
+
+    ``points`` maps the exceptional label of each point, in basis order, to
+    its declared multiplicities: a mapping from registered-curve labels to
+    the multiplicity of that curve at the point (1 for a transverse branch,
+    2 for an ordinary node), each an ``int`` >= 0.  They are geometric
+    inputs, never computed; an absent curve has multiplicity 0.
+
+    The new basis is the pullback of the old basis (same labels) followed
+    by the exceptional labels.  The Gram matrix extends by
+    e_i^2 = -1, e_i.e_j = 0 and e_i orthogonal to all pullbacks, so
+    pullbacks pair exactly as they did downstairs.  Every registered curve
+    C reappears as its strict transform C' = pullback(C) - sum of declared
+    multiplicities times exceptionals, re-registered under the primed label
+    and declared irreducible.
     """
-
-    __slots__ = _fields = ("label", "declared_multiplicities")
-
-    def __init__(self, label: str, declared_multiplicities: Mapping[str, int] = {}):
+    if not isinstance(model, SurfaceModel):
+        raise InvalidParameter(f"blow_up needs a SurfaceModel, got {type(model).__name__}")
+    if not isinstance(points, Mapping):
+        raise InvalidParameter(
+            f"blow_up needs a mapping of exceptional labels to multiplicities, "
+            f"got {type(points).__name__}"
+        )
+    if not points:
+        raise InvalidParameter("blow_up needs at least one point")
+    curve_labels = {c.label for c in model.curves}
+    for label, given in points.items():
         if not isinstance(label, str):
             raise InvalidParameter(f"point labels must be strings, got {label!r}")
-        given = declared_multiplicities  # read, never stored, so a shared default is safe
+        if label in model.basis:
+            raise InvalidParameter(
+                f"exceptional label {label!r} collides with an existing basis label"
+            )
         if not isinstance(given, Mapping):
             raise InvalidParameter(
                 f"declared multiplicities at {label!r} must be a mapping of "
@@ -105,62 +134,14 @@ class PointSpec(Value):
         for curve, mult in given.items():
             if not isinstance(curve, str):
                 raise InvalidParameter(f"curve labels at {label!r} must be strings, got {curve!r}")
-            exact_int(mult, f"multiplicity of {curve!r} at {label!r}", 0)
-        _set(self, "label", label)
-        _set(self, "declared_multiplicities", tuple(sorted(given.items())))
-
-    def multiplicity(self, curve_label: str) -> int:
-        for label, mult in self.declared_multiplicities:
-            if label == curve_label:
-                return mult
-        return 0
-
-
-def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
-    """Pull ``d`` back: its coefficients, then a 0 per exceptional class."""
-    source, target = morphism.source, morphism.target
-    target._check_owned(d)
-    return DivisorClass(source.model_id, d.coeffs + (0,) * (source.size - target.size))
-
-
-def blow_up(
-    model: SurfaceModel,
-    points: list[PointSpec] | tuple[PointSpec, ...],
-    exceptional_labels: tuple[str, ...] | None = None,
-) -> tuple[SurfaceModel, MorphismMap]:
-    """Blow up declared points of ``model``.
-
-    The new basis is the pullback of the old basis (same labels) followed
-    by one exceptional label per point.  The Gram matrix extends by
-    e_i^2 = -1, e_i.e_j = 0 and e_i orthogonal to all pullbacks, so
-    pullbacks pair exactly as they did downstairs.  Every registered curve
-    C reappears as its strict transform C' = pullback(C) - sum of declared
-    multiplicities times exceptionals, re-registered under the primed label
-    and declared irreducible.
-    """
-    points = tuple(points)
-    if not points:
-        raise InvalidParameter("blow_up needs at least one point")
-    curve_labels = {c.label for c in model.curves}
-    for p in points:
-        for label, _ in p.declared_multiplicities:
-            if label not in curve_labels:
+            if curve not in curve_labels:
                 raise InvalidParameter(
-                    f"point {p.label!r} declares a multiplicity for {label!r}, "
+                    f"point {label!r} declares a multiplicity for {curve!r}, "
                     f"which is not a registered curve of {model.model_id!r}"
                 )
-    k = len(points)
-    if exceptional_labels is None:
-        exceptional_labels = tuple([f"e_{i + 1}" for i in range(k)])
-    else:
-        exceptional_labels = tuple(exceptional_labels)
-    if len(exceptional_labels) != k:
-        raise InvalidParameter(f"need {k} exceptional labels, got {len(exceptional_labels)}")
-    for label in exceptional_labels:
-        if label in model.basis:
-            raise InvalidParameter(
-                f"exceptional label {label!r} collides with an existing basis label"
-            )
+            exact_int(mult, f"multiplicity of {curve!r} at {label!r}", 0)
+    exceptional_labels = tuple(points)
+    k = len(exceptional_labels)
 
     old_n = model.size
     new_id = f"blowup({model.model_id};{','.join(exceptional_labels)})"
@@ -171,7 +152,7 @@ def blow_up(
 
     curves = []
     for c in model.curves:
-        tail = tuple([-p.multiplicity(c.label) for p in points])
+        tail = tuple([-given.get(c.label, 0) for given in points.values()])
         curves.append(RegisteredCurve(c.label + "'", DivisorClass(new_id, c.cls.coeffs + tail)))
 
     new_model = SurfaceModel(
@@ -190,8 +171,12 @@ def strict_transform(
 ) -> DivisorClass:
     """Pullback of ``d`` with ``-mults`` on the exceptional classes; each
     multiplicity must be an ``int`` >= 0."""
-    if morphism.kind != "blowup":
+    if not isinstance(morphism, MorphismMap) or morphism.kind != "blowup":
         raise InvalidParameter("strict_transform needs a blow-up morphism")
+    if not isinstance(mults, _ROWS):
+        raise InvalidParameter(
+            f"multiplicities must be a tuple or list, got {type(mults).__name__}"
+        )
     k = len(morphism.exceptional_labels)
     if len(mults) != k:
         raise InvalidParameter(f"need {k} multiplicities, got {len(mults)}")
@@ -213,6 +198,8 @@ def double_cover(
     the cover's structure sheaf splits as O + O(-R) and section counting
     later needs the second summand.
     """
+    if not isinstance(model, SurfaceModel):
+        raise InvalidParameter(f"double_cover needs a SurfaceModel, got {type(model).__name__}")
     new_id = f"double_cover({model.model_id})"
     new_gram = [[2 * x for x in row] for row in model.gram]
     curves = [RegisteredCurve(c.label, DivisorClass(new_id, c.cls.coeffs)) for c in model.curves]
@@ -294,7 +281,8 @@ class Tower(Value):
     The four models are read from the maps' ends.  A tower is refused when
     built unless its maps are a blow-up, a cover and a blow-up that chain:
     the cover maps onto the base that ``base_blowup_map`` blows up, and
-    ``cover_blowup_map`` blows up the cover.
+    ``cover_blowup_map`` blows up the cover.  It is refused too unless
+    ``classes`` maps the seven names below, each to a class on its model.
 
     ============  =============================  ======================
     name          class                          lives on
@@ -309,6 +297,8 @@ class Tower(Value):
     """
 
     __slots__ = _fields = ("n", "base_blowup_map", "cover_map", "cover_blowup_map", "classes")
+    _LIVES_ON = {"F": "base", "G": "base", "G_n": "base", "R": "base", "A": "base",
+                 "L": "base_blowup", "D": "cover_blowup"}
 
     def __init__(self, n: int, base_blowup_map: MorphismMap, cover_map: MorphismMap,
                  cover_blowup_map: MorphismMap, classes: dict[str, DivisorClass]):
@@ -321,7 +311,13 @@ class Tower(Value):
             raise InvalidParameter("a tower's cover_map must map onto its base")
         if cover_blowup_map.target != cover_map.source:
             raise InvalidParameter("a tower's cover_blowup_map must map onto its cover")
+        names = self._LIVES_ON
+        if not isinstance(classes, Mapping) or classes.keys() != names.keys():
+            raise InvalidParameter(f"a tower's classes must map the names {', '.join(names)}")
         self._set_fields(n, *maps, classes)
+        for name, on in names.items():
+            model = getattr(self, on)
+            check_on(classes[name], model.model_id, model.size)
 
     def _key(self) -> tuple:  # ``classes`` is left out of ``==`` and ``hash``
         return tuple([getattr(self, name) for name in self._fields[:-1]])
@@ -354,8 +350,8 @@ def build_tower(n: int) -> Tower:
     ample_half = f_cls + g_cls  # R = F + G, half the branch class
     member = f_cls + kernel_cls  # A = F + Gamma_n, the verified class downstairs
 
-    transverse_points = [PointSpec(f"p_{i}", {"F": 1, "Gamma_n": 1}) for i in (1, 2, 3)]
-    _, base_blowup_map = blow_up(base, transverse_points)
+    transverse = {"F": 1, "Gamma_n": 1}
+    _, base_blowup_map = blow_up(base, {f"e_{i}": transverse for i in (1, 2, 3)})
     one_dim_cls = strict_transform(base_blowup_map, member, (2, 2, 2))  # L
 
     cover, cover_map = double_cover(base, ample_half)
@@ -365,8 +361,8 @@ def build_tower(n: int) -> Tower:
     nodal_member = pullback(cover_map, member)
     cover = cover.with_curve("A_n", nodal_member)
     cover_map = MorphismMap("cover", cover, base, ample_half)
-    nodal_points = [PointSpec(f"q_{i}", {"F": 1, "Gamma_n": 1, "A_n": 2}) for i in (1, 2, 3)]
-    _, cover_blowup_map = blow_up(cover, nodal_points, exceptional_labels=("E_1", "E_2", "E_3"))
+    nodal = {"F": 1, "Gamma_n": 1, "A_n": 2}
+    _, cover_blowup_map = blow_up(cover, {f"E_{i}": nodal for i in (1, 2, 3)})
     headline_cls = strict_transform(cover_blowup_map, nodal_member, (2, 2, 2))  # D
 
     classes = {

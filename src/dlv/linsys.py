@@ -437,9 +437,9 @@ def fixed_part_forcing(
     ``outside registry cone``, or ``cap``).
 
     ``step_cap``, an ``int`` >= 0, defaults to 10 x (sum of the start's
-    curve coefficients) + 10 as a hard backstop; each subtraction lowers
-    that sum by exactly one, so a concluding run of the verified tower
-    never nears the cap.
+    positive curve coefficients) + 10 as a hard backstop; each subtraction
+    takes one from a positive coefficient, so it lowers that sum by exactly
+    one, and a concluding run of the verified tower never nears the cap.
 
     Once the subtractions repeat a cycle, the engine computes exactly how
     many more passes the rule would make through it and applies them at
@@ -460,7 +460,7 @@ def fixed_part_forcing(
     else:
         counts, clear = solution[: len(curves)], not any(solution[len(curves) :])
     if step_cap is None:
-        step_cap = max(10 * sum(counts) + 10, 1)
+        step_cap = 10 * sum([c for c in counts if c > 0]) + 10
 
     initial = list(counts)
     pairings = [_dot(start.coeffs, row) for row in plan.rows]

@@ -15,7 +15,7 @@ import itertools
 import os
 import random
 
-from .constructions import PointSpec, blow_up, build_tower, double_cover, pullback
+from .constructions import blow_up, build_tower, double_cover, pullback
 from .errors import InvalidParameter
 from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, exact_int
 from .linsys import UniqueMember, fixed_part_forcing
@@ -221,10 +221,7 @@ def _bilinearity_trials(
         if model.self_int(d1) != model.pair(d1, d1):
             failures.append(f"trial {t}: self_int disagrees with pair")
 
-        points = [
-            PointSpec(f"pt_{i}", {"c_0": rng.randint(0, 2)})
-            for i in range(rng.randint(1, 2))
-        ]
+        points = {f"e_{i + 1}": {"c_0": rng.randint(0, 2)} for i in range(rng.randint(1, 2))}
         blown, blowup_map = blow_up(model, points)
         up1 = pullback(blowup_map, d1)
         up2 = pullback(blowup_map, d2)

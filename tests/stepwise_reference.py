@@ -82,8 +82,8 @@ def stepwise_forcing(
         None if solution is None else {c.label: solution[i] for i, c in enumerate(model.curves)}
     )
     if step_cap is None:
-        measure = sum(curve_counts.values()) if curve_counts else 0
-        step_cap = max(10 * measure + 10, 1)
+        measure = sum(c for c in curve_counts.values() if c > 0) if curve_counts else 0
+        step_cap = 10 * measure + 10
 
     # Precompute gram @ curve for each registered curve: pairing against a
     # residual is then a single dot product.

@@ -2,14 +2,14 @@ import functools
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dlv import (
     DivisorClass,
+    DivisorLatticeError,
     InvalidParameter,
     MismatchedModel,
     MorphismMap,
-    PointSpec,
     SurfaceModel,
     Tower,
     blow_up,
@@ -70,31 +70,42 @@ def test_exceptional_gram(tower_3):
 def test_blow_up_rejects_unknown_multiplicity_key():
     model = build_abelian_product(3)
     with pytest.raises(InvalidParameter, match="'NotACurve', which is not a registered curve"):
-        blow_up(model, [PointSpec("p", {"NotACurve": 1})])
+        blow_up(model, {"e_1": {"NotACurve": 1}})
 
 
 def test_blow_up_needs_points():
     model = build_abelian_product(3)
-    with pytest.raises(InvalidParameter):
-        blow_up(model, [])
+    with pytest.raises(InvalidParameter, match="^blow_up needs at least one point$"):
+        blow_up(model, {})
+
+
+@pytest.mark.parametrize("points", [[], None, (("e_1", {}),)], ids=repr)
+def test_blow_up_needs_a_mapping_of_points(points):
+    message = "^blow_up needs a mapping of exceptional labels to multiplicities, got "
+    with pytest.raises(InvalidParameter, match=message):
+        blow_up(build_abelian_product(3), points)
 
 
 def test_blow_up_rejects_negative_multiplicity():
     with pytest.raises(InvalidParameter):
-        PointSpec("p", {"F": -1})
+        blow_up(build_abelian_product(3), {"e_1": {"F": -1}})
+
+
+# a point's spec is its entry in ``blow_up``'s mapping: its exceptional
+# label and its declared multiplicities
 
 
 @pytest.mark.parametrize("mult", [-1, 1.9, True, "1", None], ids=repr)
 def test_point_spec_multiplicity_must_be_a_non_negative_int(mult):
-    with pytest.raises(InvalidParameter):
-        PointSpec("p", {"F": mult})
+    with pytest.raises(InvalidParameter, match="^multiplicity of 'F' at 'e_1' must be"):
+        blow_up(build_abelian_product(3), {"e_1": {"F": mult}})
 
 
 @pytest.mark.parametrize("label", [1, None, ("F",), b"F"], ids=repr)
 def test_point_spec_curve_label_must_be_a_str(label):
-    # a non-str label next to a str one used to raise a bare TypeError from the sort
-    with pytest.raises(InvalidParameter):
-        PointSpec("p", {label: 1, "F": 1})
+    message = f"^curve labels at 'e_1' must be strings, got {re.escape(repr(label))}$"
+    with pytest.raises(InvalidParameter, match=message):
+        blow_up(build_abelian_product(3), {"e_1": {label: 1, "F": 1}})
 
 
 @pytest.mark.parametrize("mult", [-1, 1.5, True, "1", None], ids=repr)
@@ -106,37 +117,29 @@ def test_strict_transform_multiplicity_must_be_a_non_negative_int(tower_3, mult)
 
 @pytest.mark.parametrize("given", [(("F", 1),), [("F", 1)], ()], ids=repr)
 def test_point_spec_needs_a_mapping(given):
-    with pytest.raises(InvalidParameter):
-        PointSpec("p", given)
+    message = "^declared multiplicities at 'e_1' must be a mapping"
+    with pytest.raises(InvalidParameter, match=message):
+        blow_up(build_abelian_product(3), {"e_1": given})
 
 
 @pytest.mark.parametrize("label", [5, None, ("p",)], ids=repr)
 def test_point_spec_needs_a_string_label(label):
     message = f"^point labels must be strings, got {re.escape(repr(label))}$"
     with pytest.raises(InvalidParameter, match=message):
-        PointSpec(label, {})
+        blow_up(build_abelian_product(3), {label: {}})
 
 
-def test_point_spec_stores_sorted_pairs():
-    spec = PointSpec("p", {"Gamma_n": 1, "F": 2})
-    assert spec.declared_multiplicities == (("F", 2), ("Gamma_n", 1))
-    assert spec.multiplicity("F") == 2 and spec.multiplicity("G") == 0
-    assert PointSpec("q").declared_multiplicities == ()
+def test_blow_up_names_each_point_by_its_exceptional_label():
+    model = build_abelian_product(3)
+    up, f = blow_up(model, {"x": {"Gamma_n": 1, "F": 2}, "y": {}})
+    assert up.model_id == "blowup(abelian_product(n=3);x,y)"
+    assert f.exceptional_labels == up.exceptional_labels == ("x", "y")
+    assert [c.cls.coeffs[3:] for c in up.curves] == [(-2, 0), (0, 0), (-1, 0)]
 
 
 def test_blow_up_label_collision_rejected(tower_3):
-    with pytest.raises(InvalidParameter):
-        blow_up(
-            tower_3.base,
-            [PointSpec("p", {})],
-            exceptional_labels=("F",),
-        )
-
-
-def test_blow_up_needs_one_label_per_point():
-    model = build_abelian_product(3)
-    with pytest.raises(InvalidParameter, match="^need 1 exceptional labels, got 2$"):
-        blow_up(model, [PointSpec("p")], exceptional_labels=("e_1", "e_2"))
+    with pytest.raises(InvalidParameter, match="^exceptional label 'F' collides"):
+        blow_up(tower_3.base, {"F": {}})
 
 
 def test_morphism_kind_is_checked():
@@ -306,6 +309,50 @@ def test_a_tower_whose_maps_do_not_chain_is_refused(tower_3, maps, message):
         Tower(**{**fields, **maps(tower_3)})
 
 
+_NOT_THE_NAMES = "a tower's classes must map the names F, G, G_n, R, A, L, D"
+
+
+@pytest.mark.parametrize(
+    "classes, error, message",
+    [
+        pytest.param(lambda t: 5, InvalidParameter, _NOT_THE_NAMES, id="not-a-mapping"),
+        pytest.param(
+            lambda t: {k: v for k, v in t.classes.items() if k != "D"},
+            InvalidParameter, _NOT_THE_NAMES, id="a-name-missing",
+        ),
+        pytest.param(
+            lambda t: {**t.classes, "X": t.classes["A"]},
+            InvalidParameter, _NOT_THE_NAMES, id="a-name-too-many",
+        ),
+        pytest.param(
+            lambda t: {**t.classes, "D": t.classes["A"]},
+            MismatchedModel,
+            "class belongs to model 'abelian_product(n=3)', not "
+            "'blowup(double_cover(abelian_product(n=3));E_1,E_2,E_3)'",
+            id="D-on-the-base",
+        ),
+        pytest.param(
+            lambda t: {**t.classes, "A": build_tower(5).classes["A"]},
+            MismatchedModel,
+            "class belongs to model 'abelian_product(n=5)', not 'abelian_product(n=3)'",
+            id="A-of-another-tower",
+        ),
+        pytest.param(
+            lambda t: {**t.classes, "R": DivisorClass(t.base.model_id, (1, 1))},
+            MismatchedModel, "class has 2 coefficients, expected 3", id="R-too-short",
+        ),
+        pytest.param(
+            lambda t: {**t.classes, "L": (1, 1, 0, 0, 0, 0)},
+            TypeError, "expected a DivisorClass, got tuple", id="L-not-a-class",
+        ),
+    ],
+)
+def test_a_tower_refuses_classes_off_their_models(tower_3, classes, error, message):
+    fields = {name: getattr(tower_3, name) for name in Tower._fields}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Tower(**{**fields, "classes": classes(tower_3)})
+
+
 def test_tower_model_of_refuses_a_foreign_class(tower_3):
     assert tower_3.model_of(tower_3.classes["L"]) is tower_3.base_blowup
     foreign = build_tower(5).classes["A"]
@@ -435,9 +482,7 @@ def _maps_under_test():
     and a blow-up of the blown-up base, whose exceptional labels follow
     e_1, e_2, e_3."""
     tower = build_tower(5)
-    again, again_map = blow_up(
-        tower.base_blowup, [PointSpec("r_1", {"F'": 1}), PointSpec("r_2", {})], ("x_1", "x_2")
-    )
+    again, again_map = blow_up(tower.base_blowup, {"x_1": {"F'": 1}, "x_2": {}})
     return [
         (tower.base, tower.base_blowup, tower.base_blowup_map),
         (tower.base, tower.cover, tower.cover_map),
@@ -487,3 +532,79 @@ def test_one_dim_class_pairings(n):
     assert bb.self_int(one_dim) == -4
     assert bb.pair(one_dim, bb.curve("F'").cls) == -2
     assert bb.pair(one_dim, bb.curve("Gamma_n'").cls) == -2
+
+
+# -- every construction refuses a bad argument with a package error -------------
+
+
+@functools.cache
+def _fuzz_pool():
+    """Right and wrong arguments: the models, maps and classes of two
+    towers, classes of the wrong length, and values of other types."""
+    t3, t5 = build_tower(3), build_tower(5)
+    models = [*t3.models, t5.base, t5.cover_blowup]
+    maps = [t3.base_blowup_map, t3.cover_map, t3.cover_blowup_map, t5.cover_blowup_map]
+    classes = [*t3.classes.values(), t5.classes["D"], DivisorClass(t3.base.model_id, (1, 0))]
+    return models, maps, classes, t3.classes
+
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=4),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+_value = st.one_of(
+    _junk,
+    st.sampled_from(_fuzz_pool()[0]),
+    st.sampled_from(_fuzz_pool()[1]),
+    st.sampled_from(_fuzz_pool()[2]),
+)
+_label = st.one_of(
+    st.sampled_from(["e_1", "e_2", "E_1", "F", "G", "Gamma_n", "F'", "A_n", "x"]),
+    st.integers(-1, 1),
+    st.none(),
+)
+_mult = st.one_of(st.integers(-2, 3), _value)
+_points = st.one_of(
+    _value,
+    st.dictionaries(
+        _label, st.one_of(_value, st.dictionaries(_label, _mult, max_size=3)), max_size=3
+    ),
+)
+_mults = st.one_of(_value, st.lists(_mult, max_size=4), st.lists(_mult, max_size=4).map(tuple))
+_classes = st.one_of(
+    _value,
+    st.just(_fuzz_pool()[3]),
+    st.builds(lambda name, new: {**_fuzz_pool()[3], name: new},
+              st.sampled_from(["F", "G", "G_n", "R", "A", "L", "D", "X"]), _value),
+)
+_CALLS = st.one_of(
+    st.tuples(st.just(blow_up), _value, _points),
+    st.tuples(st.just(double_cover), _value, _value),
+    st.tuples(st.just(pullback), _value, _value),
+    st.tuples(st.just(strict_transform), _value, _value, _mults),
+    st.tuples(
+        st.just(MorphismMap), st.one_of(st.sampled_from(["blowup", "cover"]), _value),
+        _value, _value, st.one_of(st.none(), _value),
+    ),
+    st.tuples(st.just(Tower), _value, _value, _value, _value, _classes),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CALLS)
+def test_constructions_refuse_bad_arguments_with_a_package_error(call):
+    # each call returns, raises a package error, or raises the TypeError of
+    # an operand that is not a class, never another Python error
+    fn, *args = call
+    try:
+        fn(*args)
+    except DivisorLatticeError:
+        pass
+    except TypeError as exc:
+        assert str(exc).startswith("expected a DivisorClass, got "), exc

@@ -342,7 +342,7 @@ def test_self_int_equals_pair(data):
 def _public_paths():
     """Every public way to bring a value into exact arithmetic, each with
     the error it raises on a value that is not exactly an int."""
-    from dlv.constructions import PointSpec, build_tower, strict_transform
+    from dlv.constructions import blow_up, build_tower, strict_transform
 
     model = build_abelian_product(3)
     f = model.basis_class("F")
@@ -358,7 +358,7 @@ def _public_paths():
             InvalidParameter,
             lambda bad: strict_transform(tower.base_blowup_map, base_f, (bad, 0, 0)),
         ),
-        ("point", InvalidParameter, lambda bad: PointSpec("p", {"F": bad})),
+        ("point", InvalidParameter, lambda bad: blow_up(model, {"e_1": {"F": bad}})),
         ("exact-int", InvalidParameter, lambda bad: exact_int(bad, "m")),
     ]
 

@@ -280,6 +280,16 @@ def test_forcing_with_a_zero_cap_takes_no_step(tower_3):
     assert trace.runs == ()
 
 
+def test_the_default_cap_counts_only_positive_curve_coefficients(tower_3):
+    # 3F' - 5G' has curve counts (3, -5, 0); a cap of 10 x their plain sum + 10
+    # stopped the forcing after one step, though only the 3 can be lowered
+    bb = tower_3.base_blowup
+    start = 3 * bb.curve("F'").cls - 5 * bb.curve("G'").cls
+    trace = assert_matches_stepwise(bb, start)
+    assert trace.conclusion == Inconclusive("outside registry cone")
+    assert len(trace.steps) == 3
+
+
 def test_forcing_without_negative_pairing(tower_3):
     up_member = pullback(tower_3.base_blowup_map, tower_3.classes["A"])
     trace = fixed_part_forcing(tower_3.base_blowup, up_member)

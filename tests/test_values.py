@@ -13,7 +13,6 @@ from dlv import (
     DivisorClass,
     Inconclusive,
     MorphismMap,
-    PointSpec,
     RegisteredCurve,
     SurfaceModel,
     Tower,
@@ -41,7 +40,6 @@ def _values():
         RegisteredCurve: tower.base.curves[0],
         SurfaceModel: tower.base_blowup,
         MorphismMap: tower.cover_map,
-        PointSpec: PointSpec("p", {"G_n": 2, "F": 1}),
         Tower: tower,
         UniqueMember: trace.conclusion,
         Inconclusive: Inconclusive("cap"),
@@ -64,7 +62,6 @@ FIELDS = {
         ("_basis_index", "_forcing_plan"),
     ),
     MorphismMap: (("kind", "source", "target", "branch_half"), ()),
-    PointSpec: (("label", "declared_multiplicities"), ()),
     Tower: (("n", "base_blowup_map", "cover_map", "cover_blowup_map", "classes"), ("classes",)),
     UniqueMember: (("decomposition",), ()),
     Inconclusive: (("reason",), ()),
@@ -78,7 +75,7 @@ FIELDS = {
 
 
 def test_every_value_class_is_covered():
-    assert len(FIELDS) == 14
+    assert len(FIELDS) == 13
     assert set(_values()) == set(FIELDS)
 
 
@@ -136,9 +133,6 @@ def test_value_semantics(cls):
 def test_reprs_are_the_dataclass_text():
     assert repr(DivisorClass("x", (1, 0))) == "DivisorClass(model_id='x', coeffs=(1, 0))"
     assert repr(Inconclusive("cap")) == "Inconclusive(reason='cap')"
-    assert repr(PointSpec("p", {"G": 2, "F": 1})) == (
-        "PointSpec(label='p', declared_multiplicities=(('F', 1), ('G', 2)))"
-    )
 
 
 def test_with_curve_copies_without_the_forcing_plan():
