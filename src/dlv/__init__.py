@@ -57,6 +57,7 @@ from .pipeline import (
     m_threshold,
     render_report_text,
     report_to_dict,
+    streamed_report,
     sweep_to_dict,
     verify,
     verify_instance,

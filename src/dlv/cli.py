@@ -8,11 +8,9 @@ schema violation, 3 on an internal error (any other exception, reported
 in one line).  A stdout that cannot be written, such as a closed pipe, is
 a usage error too.  Each command builds one document, which is written
 as JSON or rendered as text.  All numbers print in full; output is
-byte-deterministic for identical inputs.  A verification report, of
-``verify`` or of each n of ``sweep``, is verified a group of instances at
-a time while it is written, and ``sweep`` writes each n's report before it
-verifies the next n, so a failure comes after the part of the output
-before it is out.
+byte-deterministic for identical inputs.  A verification report is verified
+while it is written (see :mod:`dlv.pipeline`), and ``sweep`` writes each n's
+report before it verifies the next n.
 """
 
 from __future__ import annotations
@@ -24,26 +22,13 @@ import re
 import stat
 import sys
 import time
-from collections import Counter
 
 from . import __version__
 from .constructions import build_tower, check_odd_n
 from .errors import DivisorLatticeError, ExprError, InvalidParameter, SchemaViolation
 from .lattice import exact_int, format_class
-from .pipeline import (
-    FAILED,
-    instance_range,
-    render_report_text,
-    report_summary,
-    verify_instance,
-)
-from .schema import (
-    OneShotList,
-    document,
-    schema_check_enabled,
-    validate_document,
-    write_json,
-)
+from .pipeline import FAILED, render_report_text, streamed_report
+from .schema import OneShotList, checked, document, write_json
 
 
 class _UsageError(Exception):
@@ -171,18 +156,8 @@ def _check_out(path: str) -> None:
         os.remove(path)
 
 
-def _checked(
-    doc: dict, sweep_index: int | None = None, instance_index: int | None = None
-) -> dict:
-    """``doc``, once the schema self-check (when it is on) accepts it; see
-    :func:`~dlv.schema.validate_document` for the indices."""
-    if schema_check_enabled():
-        validate_document(doc, sweep_index, instance_index)
-    return doc
-
-
 def _write(args, doc: dict) -> None:
-    """Write ``doc``, checked as it is built (by :func:`_checked`), to
+    """Write ``doc``, checked as it is built (by :func:`~dlv.schema.checked`), to
     ``args.out`` or stdout: as JSON, or as the text :func:`_text` renders
     from it.  Its parts may be produced only while they are written, as a
     verification report's and a sweep's are.  A write that fails part way
@@ -246,60 +221,8 @@ def _write_file(path: str, emit) -> None:
         raise
 
 
-# A report's instances are verified this many at a time, then
-# written and dropped.  In 10-pair A/Bs of a cold `sweep 3..21` on a 2-core
-# host, one at a time lost every pair on wall time (+10%), groups of 8 to 128
-# tied with the whole report, and 16 kept the peak RSS within 0.1 MB of one
-# at a time.
-_GROUP = 16
-
-
-def _report(
-    n: int, m_max: int | None = None, m: int | None = None, sweep_index: int | None = None
-) -> tuple[dict, Counter]:
-    """The ``verification-report`` document of ``verify(n, m_max)``, or of
-    its single instance ``m``, and the count of its instances by status.
-
-    The instances are verified only while the document is written (see
-    :func:`_instances`), so the count and the ``summary`` are complete once
-    it is written.  ``sweep_index`` k makes it report k of a sweep."""
-    if m is None:
-        ms = instance_range(n, m_max)
-        m_max = len(ms) - 1
-    else:
-        m_max = exact_int(m, "m", 1)
-        ms = range(m, m + 1)
-    report = document("verification-report", n=n, m_max=m_max, instances=None, summary=None)
-    statuses = Counter()
-    instances = _instances(report, build_tower(n), ms, m, statuses, sweep_index)
-    report["instances"] = OneShotList(instances)
-    return report, statuses
-
-
-def _instances(report, tower, ms, single, statuses, sweep_index):
-    """The checked document of each instance of ``ms``, in turn, counted
-    by status in ``statuses``.
-
-    A group of ``_GROUP`` instances is verified and checked before the
-    first of them is yielded, and dropped before the next group is
-    verified.  After the last, it sets the ``summary`` of ``report`` (of
-    the ``single`` instance, when that is not None) and checks its other
-    fields, which all come after ``instances`` in the document."""
-    n = report["n"]
-    for start in range(0, len(ms), _GROUP):
-        group = [verify_instance(n, m, tower) for m in ms[start : start + _GROUP]]
-        for j, instance in enumerate(group, start):
-            statuses[instance["status"]] += 1
-            _checked(instance, sweep_index, j)
-        del instance  # the group's last, which would outlive the group
-        yield from group
-        del group  # before the next group is verified
-    report["summary"] = report_summary(n, statuses, single)
-    _checked({**report, "instances": []}, sweep_index)
-
-
 def _cmd_verify(args) -> int:
-    doc, statuses = _report(args.n, m_max=args.m_max, m=args.m)
+    doc, statuses = streamed_report(args.n, m_max=args.m_max, m=args.m)
     _write(args, doc)
     return 2 if statuses[FAILED] else 0
 
@@ -317,7 +240,7 @@ def _cmd_sweep(args) -> int:
             print(f"[{k + 1}/{len(ns)}] n={n} ", end="", file=sys.stderr, flush=True)
             start = time.perf_counter()
             try:
-                doc, statuses = _report(n, sweep_index=k)
+                doc, statuses = streamed_report(n, sweep_index=k)
                 yield doc
                 del doc
             finally:  # the time it took, or took to fail
@@ -332,7 +255,7 @@ def _cmd_sweep(args) -> int:
     items = reports()
     try:
         doc = document("sweep-report", reports=OneShotList(items))
-        _checked({**doc, "reports": []})  # its envelope, before the first n is verified
+        checked({**doc, "reports": []})  # its envelope, before the first n is verified
         _write(args, doc)
     finally:  # an n cut short reports its time before the error that cut it
         items.close()
@@ -369,7 +292,7 @@ def _cmd_oracle(args) -> int:
         reports=[oracle_report_to_dict(s) for s in suites],
         failures_total=failures_total,
     )
-    _write(args, _checked(doc))
+    _write(args, checked(doc))
     return 2 if failures_total else 0
 
 
@@ -388,7 +311,7 @@ def _cmd_pair(args) -> int:
     else:
         kind, rendered = "class", format_class(tower.model_of(result), result)
     doc = document("pair-result", n=args.n, expr=args.expr, kind=kind, value=rendered)
-    _write(args, _checked(doc))
+    _write(args, checked(doc))
     return 0
 
 

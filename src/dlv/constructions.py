@@ -39,7 +39,8 @@ from collections.abc import Mapping
 from operator import attrgetter
 
 from .errors import InvalidParameter, MismatchedModel
-from .lattice import _ROWS, DivisorClass, RegisteredCurve, SurfaceModel, Value, check_on, exact_int
+from .lattice import (_ROWS, DivisorClass, RegisteredCurve, SurfaceModel, Value, check_on,
+                      check_type, exact_int)
 
 
 class MorphismMap(Value):
@@ -83,8 +84,7 @@ class MorphismMap(Value):
 
 def pullback(morphism: MorphismMap, d: DivisorClass) -> DivisorClass:
     """Pull ``d`` back: its coefficients, then a 0 per exceptional class."""
-    if not isinstance(morphism, MorphismMap):
-        raise InvalidParameter(f"pullback needs a MorphismMap, got {type(morphism).__name__}")
+    check_type(morphism, MorphismMap, "pullback")
     source, target = morphism.source, morphism.target
     target._check_owned(d)
     return DivisorClass(source.model_id, d.coeffs + (0,) * (source.size - target.size))
@@ -109,8 +109,7 @@ def blow_up(
     multiplicities times exceptionals, re-registered under the primed label
     and declared irreducible.
     """
-    if not isinstance(model, SurfaceModel):
-        raise InvalidParameter(f"blow_up needs a SurfaceModel, got {type(model).__name__}")
+    check_type(model, SurfaceModel, "blow_up")
     if not isinstance(points, Mapping):
         raise InvalidParameter(
             f"blow_up needs a mapping of exceptional labels to multiplicities, "
@@ -198,8 +197,7 @@ def double_cover(
     the cover's structure sheaf splits as O + O(-R) and section counting
     later needs the second summand.
     """
-    if not isinstance(model, SurfaceModel):
-        raise InvalidParameter(f"double_cover needs a SurfaceModel, got {type(model).__name__}")
+    check_type(model, SurfaceModel, "double_cover")
     new_id = f"double_cover({model.model_id})"
     new_gram = [[2 * x for x in row] for row in model.gram]
     curves = [RegisteredCurve(c.label, DivisorClass(new_id, c.cls.coeffs)) for c in model.curves]

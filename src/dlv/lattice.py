@@ -86,6 +86,13 @@ def exact_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def check_type(value, kind: type, who: str) -> None:
+    """Raise ``InvalidParameter`` unless ``value`` is a ``kind``, as ``who``
+    needs."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{who} needs a {kind.__name__}, got {type(value).__name__}")
+
+
 def _exact_ints(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple; ``InvalidModel`` unless each is exactly an
     ``int``.  The vector form of :func:`exact_int`, for coefficients and
@@ -345,6 +352,7 @@ class SurfaceModel(Value):
 def format_class(model: SurfaceModel, d: DivisorClass) -> str:
     """Render a class as a signed combination of basis labels, e.g.
     ``F + Gamma_n - 2*e_1``.  The zero class renders as ``0``."""
+    check_type(model, SurfaceModel, "format_class")
     model._check_owned(d)
     parts = []
     for label, c in zip(model.basis, d.coeffs):

@@ -52,7 +52,7 @@ from operator import mul, sub
 
 from .constructions import MorphismMap
 from .errors import InvalidParameter
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, exact_int
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, _set, check_type
 from .schema import IntRuns
 
 NEF_RULE_CITATION = (
@@ -97,6 +97,7 @@ def certify_not_effective(
     the witness proves nothing (in particular it does *not* prove
     effectivity).
     """
+    check_type(model, SurfaceModel, "certify_not_effective")
     if model.kind != "abelian":
         raise InvalidParameter(
             f"the nef witness rule needs an abelian model, got kind {model.kind!r}"
@@ -123,7 +124,7 @@ def cover_section_split(
     where R is the retained half-branch class, and the
     ``cover-section-split`` record.
     """
-    if morphism.kind != "cover":
+    if not isinstance(morphism, MorphismMap) or morphism.kind != "cover":
         raise InvalidParameter("cover_section_split needs a double-cover morphism")
     morphism.target._check_owned(m_cls)
     second = m_cls - morphism.branch_half
@@ -147,7 +148,7 @@ def blowup_section_transfer(
     class that is not on the blow-up and :class:`InvalidParameter` when
     some k_i would be negative.
     """
-    if morphism.kind != "blowup":
+    if not isinstance(morphism, MorphismMap) or morphism.kind != "blowup":
         raise InvalidParameter("blowup_section_transfer needs a blow-up morphism")
     morphism.source._check_owned(d)
     size = morphism.target.size
@@ -186,8 +187,8 @@ class UniqueMember(Value):
 
 
 class Inconclusive(Value):
-    """Forcing could not pin down the system; ``reason`` is one of
-    ``no forcing curve``, ``outside registry cone``, ``cap``."""
+    """Forcing could not pin down the system; ``reason`` is
+    ``no forcing curve`` or ``outside registry cone``."""
 
     __slots__ = _fields = ("reason",)
 
@@ -367,7 +368,7 @@ def _first_all_negative(pieces) -> int | None:
 
 
 def _cycle_run(
-    meets, pairings: list[int], counts: list[int], cycle: list[int], steps_left: int
+    meets, pairings: list[int], counts: list[int], cycle: list[int]
 ) -> tuple[int, list[int], list[int]]:
     """How many passes through ``cycle`` the selection rule makes in a row
     from this state, with the pairing before each subtraction of the first
@@ -377,7 +378,7 @@ def _cycle_run(
     i is ``c_i - k * uses_i``, both affine in k.  The passes stop at the
     smallest k where, at some step, the chosen curve stops pairing
     negatively or runs out of count (which includes the residual reaching
-    zero), or a competitor starts to win, or the cap would be passed.
+    zero), or a competitor starts to win.
     """
     shift = [0] * len(pairings)
     uses = [0] * len(pairings)
@@ -386,13 +387,12 @@ def _cycle_run(
         uses[j] += 1
     # a curve outside the cycle with no count left never competes
     competitors = [i for i, (count, used) in enumerate(zip(counts, uses)) if count > 0 or used]
-    repeats = steps_left // len(cycle)
     p, c = pairings, list(counts)
-    firsts = []
+    firsts, bounds = [], []
     for j in cycle:
         pj, sj = p[j], shift[j]
         firsts.append(pj)
-        bounds = [
+        bounds += [
             _first_all_negative([(-pj - 1, -sj)]),  # pairing turns >= 0
             _first_all_negative([(c[j] - 1, -uses[j])]),  # count falls to <= 0
         ]
@@ -403,10 +403,9 @@ def _cycle_run(
                 bounds.append(
                     _first_all_negative([(pi, si), (-c[i], uses[i]), (pi - pj - tie, si - sj)])
                 )
-        repeats = min(repeats, *[b for b in bounds if b is not None])
         p = [*map(sub, p, meets[j])]
         c[j] -= 1
-    return repeats, firsts, shift
+    return min([b for b in bounds if b is not None]), firsts, shift
 
 
 # The longest cycle the engine looks for; a longer one is stepped through.
@@ -422,9 +421,7 @@ def _repeated_tail(history: list[int]) -> list[int] | None:
     return None
 
 
-def fixed_part_forcing(
-    model: SurfaceModel, start: DivisorClass, step_cap: int | None = None
-) -> ForcingTrace:
+def fixed_part_forcing(model: SurfaceModel, start: DivisorClass) -> ForcingTrace:
     """Run the fixed-component induction on ``start``.
 
     Repeatedly subtracts a registered curve that (a) pairs strictly
@@ -433,21 +430,19 @@ def fixed_part_forcing(
     curves plus exceptional classes.  Among eligible curves the most
     negative pairing wins; ties fall to the earliest curve in registry
     order.  Stops with ``UniqueMember`` when the residual reaches zero,
-    otherwise with an ``Inconclusive`` reason (``no forcing curve``,
-    ``outside registry cone``, or ``cap``).
+    otherwise with an ``Inconclusive`` reason (``no forcing curve`` or
+    ``outside registry cone``).
 
-    ``step_cap``, an ``int`` >= 0, defaults to 10 x (sum of the start's
-    positive curve coefficients) + 10 as a hard backstop; each subtraction
-    takes one from a positive coefficient, so it lowers that sum by exactly
-    one, and a concluding run of the verified tower never nears the cap.
+    It takes at most as many subtractions as the sum of the start's
+    positive curve coefficients: each takes one from a positive
+    coefficient, and a run of passes stops before any is overdrawn.
 
     Once the subtractions repeat a cycle, the engine computes exactly how
     many more passes the rule would make through it and applies them at
     once, as one :class:`ForcingRun`.
     """
+    check_type(model, SurfaceModel, "fixed_part_forcing")
     model._check_owned(start)
-    if step_cap is not None:
-        exact_int(step_cap, "step_cap", 0)
     if start.is_zero:
         return ForcingTrace(start=start, runs=(), conclusion=UniqueMember(()))
 
@@ -459,15 +454,12 @@ def fixed_part_forcing(
         counts, clear = [0] * len(curves), False
     else:
         counts, clear = solution[: len(curves)], not any(solution[len(curves) :])
-    if step_cap is None:
-        step_cap = 10 * sum([c for c in counts if c > 0]) + 10
 
     initial = list(counts)
     pairings = [_dot(start.coeffs, row) for row in plan.rows]
     meets = plan.meets
     runs: list[ForcingRun] = []
     history: list[int] = []  # single subtractions since the last cycle tried
-    taken = 0
     conclusion: UniqueMember | Inconclusive
     while True:
         if clear and not any(counts):
@@ -493,19 +485,15 @@ def fixed_part_forcing(
         if best is None:
             conclusion = Inconclusive("outside registry cone")
             break
-        if taken >= step_cap:
-            conclusion = Inconclusive("cap")
-            break
         runs.append(ForcingRun((curves[best],), (pairings[best],), (0,), 1))
         pairings = [*map(sub, pairings, meets[best])]
         counts[best] -= 1
-        taken += 1
         history.append(best)
         cycle = _repeated_tail(history)
         if cycle is None:
             continue
         history = []
-        repeats, firsts, shift = _cycle_run(meets, pairings, counts, cycle, step_cap - taken)
+        repeats, firsts, shift = _cycle_run(meets, pairings, counts, cycle)
         if repeats:
             runs.append(
                 ForcingRun(
@@ -518,7 +506,6 @@ def fixed_part_forcing(
             pairings = [p + repeats * d for p, d in zip(pairings, shift)]
             for j in cycle:
                 counts[j] -= repeats
-            taken += repeats * len(cycle)
     return ForcingTrace(start=start, runs=tuple(runs), conclusion=conclusion)
 
 
@@ -532,6 +519,7 @@ def h0_unique_member(trace: ForcingTrace) -> tuple[int | None, list[dict]]:
     ``step_pairings`` is an :class:`~dlv.schema.IntRuns` over the trace's
     runs, so it stays small however many subtractions it stands for.
     """
+    check_type(trace, ForcingTrace, "h0_unique_member")
     conclusion = trace.conclusion
     unique = isinstance(conclusion, UniqueMember)
     if unique and trace.start.is_zero:

@@ -13,8 +13,8 @@ before it are written, as a report's ``summary`` is set once its last
 instance is out.
 ``REPORT_SCHEMA`` states the five kinds the CLI emits:
 ``verification-report``, ``sweep-report``, ``oracle-report``, ``oracle-run``
-and ``pair-result``.  Setting ``DLV_SCHEMA_CHECK=1`` makes the CLI validate
-its own documents against it before writing them, as JSON or as text: an
+and ``pair-result``.  With ``DLV_SCHEMA_CHECK=1``, dlv checks each document
+it writes against it (by :func:`checked`), as JSON or as text: an
 ``oracle-run`` or ``pair-result`` whole before its first byte, a
 ``sweep-report``'s envelope before its first report, and a
 ``verification-report`` (alone or in a ``sweep-report``) one group of
@@ -314,6 +314,14 @@ def validate_document(
         path, message = violation
         where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         raise SchemaViolation(f"{where}: {message}", path)
+
+
+def checked(doc: dict, sweep_index=None, instance_index=None) -> dict:
+    """``doc``, once :func:`validate_document` accepts it when
+    ``DLV_SCHEMA_CHECK=1``; see there for the indices."""
+    if schema_check_enabled():
+        validate_document(doc, sweep_index, instance_index)
+    return doc
 
 
 # As in jsonschema: a bool is no integer, but an integral float is one.

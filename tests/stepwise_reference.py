@@ -60,7 +60,7 @@ def _solve_exact(columns: list[tuple[int, ...]], rhs: tuple[int, ...]) -> list[i
 
 
 def stepwise_forcing(
-    model: SurfaceModel, start: DivisorClass, step_cap: int | None = None
+    model: SurfaceModel, start: DivisorClass
 ) -> tuple[tuple[ForcingStep, ...], UniqueMember | Inconclusive]:
     """The reference engine for :func:`~dlv.linsys.fixed_part_forcing`.
 
@@ -81,9 +81,6 @@ def stepwise_forcing(
     curve_counts = (
         None if solution is None else {c.label: solution[i] for i, c in enumerate(model.curves)}
     )
-    if step_cap is None:
-        measure = sum(c for c in curve_counts.values() if c > 0) if curve_counts else 0
-        step_cap = 10 * measure + 10
 
     # Precompute gram @ curve for each registered curve: pairing against a
     # residual is then a single dot product.
@@ -128,9 +125,6 @@ def stepwise_forcing(
             break
         if best is None:
             conclusion = Inconclusive("outside registry cone")
-            break
-        if len(steps) >= step_cap:
-            conclusion = Inconclusive("cap")
             break
         value, idx = best
         curve = model.curves[idx]

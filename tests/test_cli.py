@@ -570,12 +570,10 @@ def test_schema_violation_in_text_mode_is_the_json_diagnostic(tmp_path, capsys, 
 
 def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monkeypatch):
     # it used to run the whole sweep, progress lines included, and fail at the end
-    import dlv.cli as cli_mod
-
     def never(n, m, tower=None):
         raise AssertionError("verify ran before --out was checked")
 
-    monkeypatch.setattr(cli_mod, "verify_instance", never)
+    monkeypatch.setattr("dlv.pipeline.verify_instance", never)
     target = tmp_path / "missing-dir" / "sweep.txt"
     code, out, err = run(capsys, "sweep", "--n-range", "3..31", "--out", str(target))
     assert code == 1
@@ -587,9 +585,9 @@ def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monke
 def _tamper_instance(monkeypatch, m, n=None):
     """Turn on the schema self-check and give instance ``m`` (of the report
     of ``n``, or of every report) a status the schema does not allow."""
-    import dlv.cli as cli_mod
+    import dlv.pipeline as pipeline_mod
 
-    real = cli_mod.verify_instance
+    real = pipeline_mod.verify_instance
 
     def tampered(n_, m_, tower=None):
         doc = real(n_, m_, tower)
@@ -598,7 +596,7 @@ def _tamper_instance(monkeypatch, m, n=None):
         return doc
 
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
-    monkeypatch.setattr(cli_mod, "verify_instance", tampered)
+    monkeypatch.setattr(pipeline_mod, "verify_instance", tampered)
 
 
 def test_schema_violation_creates_no_out_file(tmp_path, capsys, monkeypatch):
@@ -622,10 +620,8 @@ def test_schema_violation_removes_an_existing_out_file(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
 def test_internal_error_while_streaming_leaves_no_out_file(tmp_path, capsys, monkeypatch, existed):
     # the summary is written after every instance, so part of the file is out
-    import dlv.cli as cli_mod
-
     monkeypatch.delenv("DLV_SCHEMA_CHECK", raising=False)
-    monkeypatch.setattr(cli_mod, "report_summary", lambda *args: 0.5)
+    monkeypatch.setattr("dlv.pipeline.report_summary", lambda *args: 0.5)
     target = tmp_path / "report.json"
     if existed:
         target.write_bytes(b"earlier report\n")
@@ -647,10 +643,10 @@ def test_internal_error_while_streaming_leaves_no_out_file(tmp_path, capsys, mon
 def test_a_summary_is_checked_once_the_last_instance_is_out(
     tmp_path, capsys, monkeypatch, argv, path
 ):
-    import dlv.cli as cli_mod
-
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
-    monkeypatch.setattr(cli_mod, "report_summary", lambda n, *args: 0.5 if n == 5 else "fine")
+    monkeypatch.setattr(
+        "dlv.pipeline.report_summary", lambda n, *args: 0.5 if n == 5 else "fine"
+    )
     target = tmp_path / "report.json"
     code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
     assert code == 2
@@ -662,9 +658,7 @@ def test_a_summary_is_checked_once_the_last_instance_is_out(
 
 def test_internal_error_while_streaming_keeps_an_out_link(tmp_path, capsys, monkeypatch):
     # only a regular file is removed: a link, like /dev/stdout, stays
-    import dlv.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "report_summary", lambda *args: 0.5)
+    monkeypatch.setattr("dlv.pipeline.report_summary", lambda *args: 0.5)
     target = tmp_path / "report.json"
     link = tmp_path / "link.json"
     link.symlink_to(target)
@@ -724,9 +718,9 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def _fail_instance(monkeypatch, m, n=None):
     """Make instance ``m`` (of the report of ``n``, or of every report) ``Failed``."""
-    import dlv.cli as cli_mod
+    import dlv.pipeline as pipeline_mod
 
-    real = cli_mod.verify_instance
+    real = pipeline_mod.verify_instance
 
     def tampered(n_, m_, tower=None):
         r = real(n_, m_, tower)
@@ -734,7 +728,7 @@ def _fail_instance(monkeypatch, m, n=None):
             r["status"] = "Failed"
         return r
 
-    monkeypatch.setattr(cli_mod, "verify_instance", tampered)
+    monkeypatch.setattr(pipeline_mod, "verify_instance", tampered)
 
 
 def test_failed_instance_exits_two(capsys, monkeypatch):
@@ -746,10 +740,10 @@ def test_failed_instance_exits_two(capsys, monkeypatch):
 def test_text_says_why_an_instance_failed(capsys, monkeypatch):
     from dlv import ForcingTrace, Inconclusive
 
-    def capped(model, start):
-        return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("cap"))
+    def inconclusive(model, start):
+        return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("no forcing curve"))
 
-    monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", capped)
+    monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", inconclusive)
     why = "blown-up-base forcing did not conclude a unique member"
     code, out, err = run(capsys, "verify", "--n", "3", "--m", "2")
     assert code == 2
@@ -847,7 +841,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("dlv.cli.verify_instance", broken)
+    monkeypatch.setattr("dlv.pipeline.verify_instance", broken)
     code, out, err = run(capsys, "verify", "--n", "5")
     assert code == 3
     assert err == "dlv: internal error: RuntimeError: boom\n"
@@ -857,9 +851,9 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 def _verify_failing_at(monkeypatch, bad_n, error):
     """Make the first instance of ``bad_n`` raise ``error`` and record
     every n verified."""
-    import dlv.cli as cli_mod
+    import dlv.pipeline as pipeline_mod
 
-    real, seen = cli_mod.verify_instance, []
+    real, seen = pipeline_mod.verify_instance, []
 
     def verify_instance(n, m, tower=None):
         if m == 1:
@@ -868,7 +862,7 @@ def _verify_failing_at(monkeypatch, bad_n, error):
                 raise error
         return real(n, m, tower)
 
-    monkeypatch.setattr(cli_mod, "verify_instance", verify_instance)
+    monkeypatch.setattr(pipeline_mod, "verify_instance", verify_instance)
     return seen
 
 
@@ -947,7 +941,7 @@ def test_sweep_envelope_is_checked_before_the_first_n(capsys, monkeypatch):
 
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
     monkeypatch.setattr(cli_mod, "document", document)
-    monkeypatch.setattr(cli_mod, "verify_instance", never)
+    monkeypatch.setattr("dlv.pipeline.verify_instance", never)
     code, out, err = run(capsys, "sweep", "--n-range", "3..5", "--format", "json")
     assert (code, out) == (2, "")
     # the message comes from the sweep-report's oneOf branch, the kind the document names
@@ -982,24 +976,24 @@ class _TrackedDict(dict):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fmt):
     # nor an earlier group of its own instances: n = 13 has three groups
-    import dlv.cli as cli_mod
+    import dlv.pipeline as pipeline_mod
     from dlv.pipeline import m_threshold
 
-    real_verify = cli_mod.verify_instance
+    real_verify = pipeline_mod.verify_instance
     alive, kept = [], []  # weak references; the (n, m) whose group found one alive
 
     def verify_instance(n, m, tower=None):
-        if (m - 1) % cli_mod._GROUP == 0 and any(ref() is not None for ref in alive):
+        if (m - 1) % pipeline_mod._GROUP == 0 and any(ref() is not None for ref in alive):
             kept.append((n, m))
         doc = _TrackedDict(real_verify(n, m, tower))
         alive.append(weakref.ref(doc))
         return doc
 
-    monkeypatch.setattr(cli_mod, "verify_instance", verify_instance)
+    monkeypatch.setattr(pipeline_mod, "verify_instance", verify_instance)
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")  # the checker keeps nothing either
     code, out, err = run(capsys, "sweep", "--n-range", "3..13", "--format", fmt)
     assert code == 0
-    assert m_threshold(13) + 1 > cli_mod._GROUP
+    assert m_threshold(13) + 1 > pipeline_mod._GROUP
     # one document per instance, written as JSON or rendered as text
     assert len(alive) == sum(m_threshold(n) + 1 for n in range(3, 14, 2))
     assert kept == []

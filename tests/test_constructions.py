@@ -16,9 +16,19 @@ from dlv import (
     blowup_section_transfer,
     build_abelian_product,
     build_tower,
+    certify_not_effective,
+    cover_section_split,
     double_cover,
+    fixed_part_forcing,
+    format_class,
+    h0_unique_member,
     pullback,
+    render_report_text,
+    report_to_dict,
+    streamed_report,
     strict_transform,
+    verify,
+    verify_instance,
 )
 from dlv.lattice import check_on
 
@@ -540,12 +550,16 @@ def test_one_dim_class_pairings(n):
 @functools.cache
 def _fuzz_pool():
     """Right and wrong arguments: the models, maps and classes of two
-    towers, classes of the wrong length, and values of other types."""
+    towers, classes of the wrong length, the towers, a forcing trace, a
+    report and its document, and values of other types."""
     t3, t5 = build_tower(3), build_tower(5)
     models = [*t3.models, t5.base, t5.cover_blowup]
     maps = [t3.base_blowup_map, t3.cover_map, t3.cover_blowup_map, t5.cover_blowup_map]
     classes = [*t3.classes.values(), t5.classes["D"], DivisorClass(t3.base.model_id, (1, 0))]
-    return models, maps, classes, t3.classes
+    report = verify(3)
+    others = [t3, t5, fixed_part_forcing(t3.base_blowup, t3.classes["L"]), report,
+              report_to_dict(report)]
+    return models, maps, classes, t3.classes, others
 
 
 _junk = st.one_of(
@@ -563,6 +577,7 @@ _value = st.one_of(
     st.sampled_from(_fuzz_pool()[0]),
     st.sampled_from(_fuzz_pool()[1]),
     st.sampled_from(_fuzz_pool()[2]),
+    st.sampled_from(_fuzz_pool()[4]),
 )
 _label = st.one_of(
     st.sampled_from(["e_1", "e_2", "E_1", "F", "G", "Gamma_n", "F'", "A_n", "x"]),
@@ -596,8 +611,29 @@ _CALLS = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(_CALLS)
+def _drained(*args):
+    doc, statuses = streamed_report(*args)
+    return [*doc["instances"]], doc["summary"], statuses
+
+
+_size = st.one_of(st.none(), st.integers(-1, 7), _value)
+# outside dlv.constructions: the rules, the forcing and the pipeline
+_RULE_CALLS = st.one_of(
+    st.tuples(st.just(fixed_part_forcing), _value, _value),
+    st.tuples(st.just(h0_unique_member), _value),
+    st.tuples(st.just(format_class), _value, _value),
+    st.tuples(st.just(certify_not_effective), _value, _value, _label),
+    st.tuples(st.just(cover_section_split), _value, _value),
+    st.tuples(st.just(blowup_section_transfer), _value, _value, _value),
+    st.tuples(st.just(verify_instance), _size, _size, _value),
+    st.tuples(st.just(report_to_dict), _value),
+    st.tuples(st.just(render_report_text), _value),
+    st.tuples(st.just(_drained), _size, _size, _size, _size),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(_CALLS, _RULE_CALLS))
 def test_constructions_refuse_bad_arguments_with_a_package_error(call):
     # each call returns, raises a package error, or raises the TypeError of
     # an operand that is not a class, never another Python error
@@ -608,3 +644,32 @@ def test_constructions_refuse_bad_arguments_with_a_package_error(call):
         pass
     except TypeError as exc:
         assert str(exc).startswith("expected a DivisorClass, got "), exc
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: fixed_part_forcing(5, t.classes["L"]),
+         "fixed_part_forcing needs a SurfaceModel, got int"),
+        (lambda t: h0_unique_member(5), "h0_unique_member needs a ForcingTrace, got int"),
+        (lambda t: verify_instance(3, 1, tower=5), "verify_instance needs a Tower, got int"),
+        (lambda t: report_to_dict(5), "report_to_dict needs a VerificationReport, got int"),
+        (lambda t: format_class(5, t.classes["A"]), "format_class needs a SurfaceModel, got int"),
+        (lambda t: certify_not_effective(5, t.classes["A"], "G"),
+         "certify_not_effective needs a SurfaceModel, got int"),
+        (lambda t: cover_section_split(5, t.classes["A"]),
+         "cover_section_split needs a double-cover morphism"),
+        (lambda t: blowup_section_transfer(5, t.classes["L"], "c"),
+         "blowup_section_transfer needs a blow-up morphism"),
+        (lambda t: render_report_text(5), "render_report_text needs a verification-report"),
+        (lambda t: render_report_text({}), "render_report_text needs a verification-report"),
+        (lambda t: verify_instance(3.0, 1, tower=t), "n must be an integer, got 3.0"),
+    ],
+    ids=["forcing", "h0", "verify-instance", "report-to-dict", "format-class", "certify",
+         "cover-split", "transfer", "render-int", "render-dict", "float-n-with-a-tower"],
+)
+def test_a_wrong_argument_outside_the_constructions_is_refused_on_entry(tower_3, call, message):
+    # each ended in a bare AttributeError or TypeError, or (a float n with a
+    # tower of the same n) was verified
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}"):
+        call(tower_3)

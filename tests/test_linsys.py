@@ -258,31 +258,10 @@ def test_forcing_terminates_within_initial_measure(tower_3):
         assert len(trace.steps) == 2 * m
 
 
-def test_forcing_cap(tower_3):
-    trace = fixed_part_forcing(tower_3.base_blowup, 5 * tower_3.classes["L"], step_cap=3)
-    assert isinstance(trace.conclusion, Inconclusive)
-    assert trace.conclusion.reason == "cap"
-    assert len(trace.steps) == 3
-
-
-@pytest.mark.parametrize("cap", [2.5, True, -1, "3"], ids=repr)
-@pytest.mark.parametrize("start", ["L", "zero"])
-def test_forcing_step_cap_must_be_a_non_negative_int(tower_3, cap, start):
-    bb = tower_3.base_blowup
-    d = tower_3.classes["L"] if start == "L" else DivisorClass(bb.model_id, (0,) * bb.size)
-    with pytest.raises(InvalidParameter, match="step_cap"):
-        fixed_part_forcing(bb, d, step_cap=cap)
-
-
-def test_forcing_with_a_zero_cap_takes_no_step(tower_3):
-    trace = fixed_part_forcing(tower_3.base_blowup, tower_3.classes["L"], step_cap=0)
-    assert trace.conclusion == Inconclusive("cap")
-    assert trace.runs == ()
-
-
 def test_the_default_cap_counts_only_positive_curve_coefficients(tower_3):
-    # 3F' - 5G' has curve counts (3, -5, 0); a cap of 10 x their plain sum + 10
-    # stopped the forcing after one step, though only the 3 can be lowered
+    # 3F' - 5G' has curve counts (3, -5, 0); a step cap of 10 x their plain
+    # sum + 10 once stopped the forcing after one step, though only the 3 can
+    # be lowered
     bb = tower_3.base_blowup
     start = 3 * bb.curve("F'").cls - 5 * bb.curve("G'").cls
     trace = assert_matches_stepwise(bb, start)
@@ -311,9 +290,9 @@ def test_forcing_outside_registry_cone(tower_3):
 # -- run-length forcing against the stepwise reference -------------------------
 
 
-def assert_matches_stepwise(model, start, step_cap=None):
-    trace = fixed_part_forcing(model, start, step_cap=step_cap)
-    steps, conclusion = stepwise_forcing(model, start, step_cap=step_cap)
+def assert_matches_stepwise(model, start):
+    trace = fixed_part_forcing(model, start)
+    steps, conclusion = stepwise_forcing(model, start)
     assert trace.conclusion == conclusion
     assert trace.steps == steps
     assert trace.step_pairings() == [s.pairing_value for s in steps]
@@ -326,8 +305,6 @@ def test_forcing_matches_stepwise_on_the_tower(n):
     for m in range(1, m_threshold(n) + 2):
         start = m * tower.classes["L"]
         assert_matches_stepwise(tower.base_blowup, start)
-        # a cap of m stops halfway through the 2m subtractions
-        assert_matches_stepwise(tower.base_blowup, start, step_cap=m)
 
 
 def _random_registry(rng, tag):
@@ -358,8 +335,12 @@ def test_forcing_matches_stepwise_on_random_registries():
     for trial in range(2400):
         rng = random.Random(f"registry:{trial}")
         model, start = _random_registry(rng, f"random({trial})")
-        cap = rng.choice([None, None, rng.randint(0, 30)])
-        trace = assert_matches_stepwise(model, start, step_cap=cap)
+        trace = assert_matches_stepwise(model, start)
+        # each step lowers one positive curve count by one, never past zero
+        columns = [c.cls.coeffs for c in model.curves]
+        columns += [model.basis_class(label).coeffs for label in model.exceptional_labels]
+        counts = (_solve_exact(columns, start.coeffs) or [])[: len(model.curves)]
+        assert len(trace.steps) <= sum([c for c in counts if c > 0])
         jumped += any(run.repeats > 1 for run in trace.runs)
         unique += isinstance(trace.conclusion, UniqueMember)
     # the sample must exercise the jump and every way a run can end
@@ -465,9 +446,12 @@ def test_the_forcing_record_keeps_the_runs_of_its_pairings(n):
 
 
 def test_an_inconclusive_record_counts_its_steps_without_pairings(tower_3):
-    trace = fixed_part_forcing(tower_3.base_blowup, 5 * tower_3.classes["L"], step_cap=3)
+    bb = tower_3.base_blowup
+    trace = fixed_part_forcing(bb, 3 * bb.curve("F'").cls - 5 * bb.curve("G'").cls)
     h0, (record,) = h0_unique_member(trace)
     assert h0 is None
     assert record["values"] == {
-        "start": list(trace.start.coeffs), "inconclusive": "cap", "steps_taken": 3
+        "start": list(trace.start.coeffs),
+        "inconclusive": "outside registry cone",
+        "steps_taken": 3,
     }

@@ -23,13 +23,14 @@ from dlv import (
     m_threshold,
     render_report_text,
     report_to_dict,
+    streamed_report,
     sweep_to_dict,
     verify,
     verify_instance,
 )
 from dlv.linsys import ForcingRun, ForcingTrace
 from dlv.pipeline import VerificationReport
-from dlv.schema import REPORT_SCHEMA, IntRuns, validate_document
+from dlv.schema import REPORT_SCHEMA, IntRuns, validate_document, write_json
 
 
 def brute_force_threshold(n):
@@ -97,16 +98,16 @@ def test_inconclusive_forcing_yields_failed(monkeypatch, m):
     # reach a unique member; an inconclusive one is an internal contradiction
     from dlv import FAILED, ForcingTrace, Inconclusive
 
-    def capped(model, start):
-        return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("cap"))
+    def inconclusive(model, start):
+        return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("no forcing curve"))
 
-    monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", capped)
+    monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", inconclusive)
     result = verify_instance(3, m)
     assert result["status"] == FAILED
     assert result["h0"] == "unknown"
     chain = result["certificate_chain"]
     (forcing,) = [a for a in chain if a["rule"] == "fixed-component-forcing"]
-    assert forcing["values"]["inconclusive"] == "cap"
+    assert forcing["values"]["inconclusive"] == "no forcing curve"
     (failed,) = [a for a in chain if a["rule"] == "internal-check-failed"]
     assert failed["values"]["details"] == [
         "blown-up-base forcing did not conclude a unique member"
@@ -391,3 +392,41 @@ def test_a_report_keeps_memory_that_grows_with_its_instances_not_its_pairings():
 )
 def test_the_records_every_instance_keeps_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
+
+
+# -- the one report builder ---------------------------------------------------
+
+
+def test_the_streamed_report_is_the_bytes_of_the_cli(capsys):
+    import io
+
+    from dlv.cli import main
+
+    doc, statuses = streamed_report(9, m=3)
+    written = io.StringIO()
+    write_json(doc, written)
+    assert statuses == {VERIFIED: 1}
+    assert main(["verify", "--n", "9", "--m", "3", "--format", "json"]) == 0
+    assert written.getvalue() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_a_checked_verify_refuses_a_tampered_instance(monkeypatch, k):
+    # verify built its report without the self-check, so this returned
+    import dlv.pipeline as pipeline_mod
+
+    real = pipeline_mod.verify_instance
+
+    def tampered(n, m, tower=None):
+        doc = real(n, m, tower)
+        if m == k + 1:
+            doc["status"] = "Maybe"
+        return doc
+
+    monkeypatch.setattr(pipeline_mod, "verify_instance", tampered)
+    monkeypatch.delenv("DLV_SCHEMA_CHECK", raising=False)
+    assert verify(5).instances[k]["status"] == "Maybe"
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    with pytest.raises(SchemaViolation) as caught:
+        verify(5)
+    assert str(caught.value).startswith(f"$.instances[{k}].status: 'Maybe' is not one of ")

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -21,7 +22,7 @@ from dlv import (
     verify_instance,
 )
 from dlv.oracle import OracleReport, oracle_report_to_dict
-from dlv.schema import REPORT_SCHEMA, canonical_json, document, validate_document
+from dlv.schema import REPORT_SCHEMA, canonical_json, checked, document, validate_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -178,6 +179,21 @@ def test_an_instance_checked_alone_fails_as_in_the_whole_document(value, sweep_i
         validate_document(instances[1], sweep_index, 1)
     assert str(alone.value) == str(whole.value)
     assert alone.value.path == whole.value.path
+
+
+def test_checked_validates_only_when_the_check_is_on(monkeypatch):
+    doc = _base_documents()[0]
+    instance = doc["instances"][1]
+    instance["status"] = "Maybe"
+    monkeypatch.delenv("DLV_SCHEMA_CHECK", raising=False)
+    assert checked(doc) is doc and checked(instance, None, 1) is instance
+    monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
+    for args, path in [
+        ((doc,), "$.instances[1]"),
+        ((instance, 2, 1), "$.reports[2].instances[1]"),
+    ]:
+        with pytest.raises(SchemaViolation, match=re.escape(f"{path}.status: 'Maybe'")):
+            checked(*args)
 
 
 @pytest.mark.parametrize(
