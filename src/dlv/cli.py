@@ -283,7 +283,7 @@ def _cmd_oracle(args) -> int:
         identity_suite(ns, m_max_per_n=args.m_max, seed=args.seed),
         bilinearity_suite(trials=args.trials, seed=args.seed),
         forcing_order_check(tower.base_blowup, tower.classes["L"], m_cap=5),
-        enumeration_check(n=3, m_cap=4, coeff_bound=args.bound),
+        enumeration_check(tower, m_cap=4, coeff_bound=args.bound),
     ]
     failures_total = sum(len(s.failures) for s in suites)
 
@@ -300,12 +300,7 @@ def _cmd_pair(args) -> int:
     from .expr import parse_expr  # imported here, so that no other command loads it
 
     tower = build_tower(args.n)
-    result = parse_expr(
-        args.expr,
-        tower.base,
-        named=dict(tower.classes),
-        models=tower.models,
-    )
+    result = parse_expr(args.expr, tower)
     if isinstance(result, int):
         kind, rendered = "pairing", result
     else:

@@ -277,10 +277,11 @@ class Tower(Value):
     bound by reports and the CLI expression grammar.
 
     The four models are read from the maps' ends.  A tower is refused when
-    built unless its maps are a blow-up, a cover and a blow-up that chain:
-    the cover maps onto the base that ``base_blowup_map`` blows up, and
-    ``cover_blowup_map`` blows up the cover.  It is refused too unless
-    ``classes`` maps the seven names below, each to a class on its model.
+    built unless ``n`` passes :func:`check_odd_n` and its maps are a
+    blow-up, a cover and a blow-up that chain: the cover maps onto the base
+    that ``base_blowup_map`` blows up, and ``cover_blowup_map`` blows up the
+    cover.  It is refused too unless ``classes`` maps the seven names below,
+    each to a class on its model.
 
     ============  =============================  ======================
     name          class                          lives on
@@ -312,7 +313,7 @@ class Tower(Value):
         names = self._LIVES_ON
         if not isinstance(classes, Mapping) or classes.keys() != names.keys():
             raise InvalidParameter(f"a tower's classes must map the names {', '.join(names)}")
-        self._set_fields(n, *maps, classes)
+        self._set_fields(check_odd_n(n), *maps, classes)
         for name, on in names.items():
             model = getattr(self, on)
             check_on(classes[name], model.model_id, model.size)
@@ -330,6 +331,7 @@ class Tower(Value):
         return (self.base, self.base_blowup, self.cover, self.cover_blowup)
 
     def model_of(self, d: DivisorClass) -> SurfaceModel:
+        check_type(d, DivisorClass, "Tower.model_of")
         for m in self.models:
             if m.model_id == d.model_id:
                 return m

@@ -1,8 +1,8 @@
 """Tiny expression grammar for ad-hoc pairing spot checks.
 
-Deliberately small: integer literals, identifiers bound to basis labels or
-named classes, ``+ - *`` (scalar multiplication only) and one infix ``.``
-for the intersection pairing, plus parentheses::
+Deliberately small: integer literals, identifiers bound to a tower's named
+classes or the basis labels of its base, ``+ - *`` (scalar multiplication
+only) and one infix ``.`` for the intersection pairing, plus parentheses::
 
     expression := sum ('.' sum)?
     sum        := product (('+' | '-') product)*
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import re
 
+from .constructions import Tower
 from .errors import ExprError
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, check_type
 
 
 # ASCII only, whitespace included, so every character before an error is
@@ -169,36 +170,27 @@ class _Parser:
         )
 
 
-def parse_expr(
-    text: str,
-    model: SurfaceModel,
-    named: dict[str, DivisorClass] | None = None,
-    models: tuple[SurfaceModel, ...] = (),
-) -> DivisorClass | int:
-    """Evaluate ``text`` over ``model``'s basis labels and ``named`` classes.
+def parse_expr(text: str, tower: Tower) -> DivisorClass | int:
+    """Evaluate ``text`` over ``tower``'s named classes, then the basis
+    labels of its base.
 
-    ``models`` supplies additional surfaces so named classes living on
-    other models of a tower can still be paired.  Returns a
+    A pairing runs on the tower's model of its left class.  Returns a
     :class:`DivisorClass`, or an integer when the expression is a pairing.
     """
-    named = named or {}
-    by_id = {model.model_id: model}
-    for extra in models:
-        by_id[extra.model_id] = extra
+    check_type(text, str, "parse_expr")
+    check_type(tower, Tower, "parse_expr")
+    named, base = tower.classes, tower.base
 
     def resolve(name, pos):
         if name in named:
             return named[name]
-        if name in model.basis:
-            return model.basis_class(name)
+        if name in base.basis:
+            return base.basis_class(name)
         raise ExprError(f"unknown identifier {name!r}", pos)
 
     def do_pair(left, right, pos):
         if not isinstance(left, DivisorClass) or not isinstance(right, DivisorClass):
             raise ExprError("pairing needs a divisor class on both sides", pos)
-        owner = by_id.get(left.model_id)
-        if owner is None:
-            raise ExprError(f"no model available for pairing on {left.model_id!r}", pos)
-        return owner.pair(left, right)  # raises MismatchedModel on mixed models
+        return tower.model_of(left).pair(left, right)  # raises MismatchedModel on mixed models
 
     return _Parser(_tokenize(text), resolve, do_pair).expression()

@@ -117,12 +117,13 @@ def certify_not_effective(
 
 def cover_section_split(
     morphism: MorphismMap, m_cls: DivisorClass
-) -> tuple[DivisorClass, DivisorClass, dict]:
-    """Split sections of the pullback of ``m_cls`` through a double cover.
+) -> tuple[DivisorClass, dict]:
+    """Split sections of the pullback of ``m_cls`` = M through a double
+    cover into the summands M and M - R on the base, where R is the
+    retained half-branch class.
 
-    Returns ``(M, M - R, record)``: the two summand classes on the base,
-    where R is the retained half-branch class, and the
-    ``cover-section-split`` record.
+    Returns ``(M - R, record)``: the second summand and the
+    ``cover-section-split`` record, which lists both.
     """
     if not isinstance(morphism, MorphismMap) or morphism.kind != "cover":
         raise InvalidParameter("cover_section_split needs a double-cover morphism")
@@ -130,7 +131,7 @@ def cover_section_split(
     second = m_cls - morphism.branch_half
     values = {"M": list(m_cls.coeffs), "M_minus_R": list(second.coeffs)}
     record = {"rule": "cover-section-split", "citation": COVER_SPLIT_CITATION, "values": values}
-    return m_cls, second, record
+    return second, record
 
 
 def blowup_section_transfer(

@@ -15,9 +15,9 @@ import itertools
 import os
 import random
 
-from .constructions import blow_up, build_tower, double_cover, pullback
+from .constructions import Tower, blow_up, build_tower, double_cover, pullback
 from .errors import InvalidParameter
-from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, exact_int
+from .lattice import DivisorClass, RegisteredCurve, SurfaceModel, Value, check_type, exact_int
 from .linsys import UniqueMember, fixed_part_forcing
 from .schema import document
 
@@ -78,7 +78,7 @@ def enumerate_decompositions(
     return found
 
 
-def identity_suite(n_list, m_max_per_n: int = 20, seed: int = 0) -> OracleReport:
+def identity_suite(n_list: list[int], m_max_per_n: int = 20, seed: int = 0) -> OracleReport:
     """Evaluate every printed identity through the constructed models and
     compare with its closed form.
 
@@ -88,6 +88,7 @@ def identity_suite(n_list, m_max_per_n: int = 20, seed: int = 0) -> OracleReport
     The left sides come from Gram evaluation only; the right sides are the
     closed forms.  A failure localizes a bug to one of the two routes.
     """
+    check_type(n_list, list, "identity_suite")
     exact_int(m_max_per_n, "m_max_per_n", 0)
     exact_int(seed, "seed")
     failures = []
@@ -137,6 +138,7 @@ def forcing_order_check(
     """Run forcing of every multiple m <= m_cap under every registry
     permutation and report any disagreement in conclusion or decomposition.
     """
+    check_type(model, SurfaceModel, "forcing_order_check")
     exact_int(m_cap, "m_cap", 0)
     if len(model.curves) > 6:
         raise InvalidParameter(
@@ -304,17 +306,15 @@ def bilinearity_suite(trials: int = 10_000, seed: int = 0) -> OracleReport:
     )
 
 
-def enumeration_check(
-    n: int = 3, m_cap: int = 4, coeff_bound: int = 10
-) -> OracleReport:
-    """Exhaustive-grid decompositions of each multiple against the forcing
-    engine: the grid must hold the forced decomposition when its counts fit
-    ``coeff_bound``, and nothing else."""
+def enumeration_check(tower: Tower, m_cap: int = 4, coeff_bound: int = 10) -> OracleReport:
+    """Exhaustive-grid decompositions of each multiple of ``tower``'s L
+    against the forcing engine: the grid must hold the forced decomposition
+    when its counts fit ``coeff_bound``, and nothing else."""
+    check_type(tower, Tower, "enumeration_check")
     exact_int(m_cap, "m_cap", 0)
     exact_int(coeff_bound, "coeff_bound", 0)
     failures = []
     trials = 0
-    tower = build_tower(n)
     bb = tower.base_blowup
     one_dim = tower.classes["L"]
     for m in range(1, m_cap + 1):

@@ -25,9 +25,11 @@ pairing is non-negative, the certificate correctly refuses, and the status
 is ``BeyondThreshold``.  Reports with identical inputs are byte-identical
 as JSON.
 
-:func:`streamed_report` is the one builder of a ``verification-report``,
-which verifies its instances a group at a time while it is written, so a
-failure comes after the part of the output before it is out.
+:func:`verify_instance` verifies one multiple on a tower, and reads n from
+it.  :func:`streamed_report` is the one builder of a
+``verification-report``, which builds the tower of n once and verifies its
+instances a group at a time while it is written, so a failure comes after
+the part of the output before it is out.
 :func:`verify` is its document, drained.
 """
 
@@ -86,23 +88,17 @@ class VerificationReport(Value):
         self._set_fields(n, m_max, instances, summary)
 
 
-def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
-    """Run the five stages of the certificate chain for one (n, m) and
-    return the instance document that a ``verification-report`` lists.
+def verify_instance(tower: Tower, m: int) -> dict:
+    """Run the five stages of the certificate chain for the multiple m on
+    ``tower``, built for one n, and return the instance document that a
+    ``verification-report`` lists.
 
     Each stage applies its rule, appends the rule application to the
     document's ``certificate_chain`` and checks the computed values against
     their closed forms.
-
-    ``tower`` may be supplied to reuse the constructed models across an m
-    sweep; it must have been built for the same n.
     """
-    exact_int(m, "m", 1)
-    tower = build_tower(n) if tower is None else tower
     check_type(tower, Tower, "verify_instance")
-    if tower.n != check_odd_n(n):
-        raise InvalidParameter(f"tower was built for n={tower.n}, not n={n}")
-
+    exact_int(m, "m", 1)
     classes = tower.classes
     m_member = m * classes["A"]
     m_one_dim = m * classes["L"]
@@ -121,15 +117,15 @@ def verify_instance(n: int, m: int, tower: Tower | None = None) -> dict:
         problems.append("top-surface transfer does not land on the pulled-back multiple")
 
     # Stage 2: split the pulled-back sections over the cover.
-    first, second, record = cover_section_split(tower.cover_map, m_member)
+    second, record = cover_section_split(tower.cover_map, m_member)
     chain.append(record)
-    if first != m_member or second != m_member - classes["R"]:
+    if second != m_member - classes["R"]:
         problems.append("cover split summands are not (M, M - R)")
 
     # Stage 3: the second summand is not effective below the threshold.
     certificate_value, record = certify_not_effective(tower.base, second, "Gamma_n")
     chain.append(record)
-    expected_certificate = 4 * (m - 1) - n * n
+    expected_certificate = 4 * (m - 1) - tower.n * tower.n
     if certificate_value != expected_certificate:
         problems.append(
             f"witness pairing {certificate_value} != 4(m-1) - n^2 = {expected_certificate}"
@@ -240,7 +236,7 @@ def streamed_report(
     n: int, m_max: int | None = None, m: int | None = None, sweep_index: int | None = None
 ) -> tuple[dict, Counter]:
     """The ``verification-report`` document of n, over the m range of
-    :func:`instance_range` or the single instance ``m``, and the count of
+    :func:`instance_range` or the single instance ``m`` (not both), and the count of
     its instances by status, complete once its ``instances`` are read.
 
     Each group of ``_GROUP`` instances is verified and checked (by
@@ -251,16 +247,18 @@ def streamed_report(
     if m is None:
         ms = instance_range(n, m_max)
         m_max = len(ms) - 1
-    else:
+    elif m_max is None:
         m_max = exact_int(m, "m", 1)
         ms = range(m, m + 1)
+    else:
+        raise InvalidParameter("streamed_report takes m_max or m, not both")
     report = document("verification-report", n=n, m_max=m_max, instances=None, summary=None)
     statuses = Counter()
     tower = build_tower(n)
 
     def instances():
         for start in range(0, len(ms), _GROUP):
-            group = [verify_instance(n, each, tower) for each in ms[start : start + _GROUP]]
+            group = [verify_instance(tower, each) for each in ms[start : start + _GROUP]]
             for j, instance in enumerate(group, start):
                 statuses[instance["status"]] += 1
                 checked(instance, sweep_index, j)

@@ -273,6 +273,7 @@ def test_streamed_sweep_is_the_whole_sweep(capsys, fmt):
     "option", [(), ("--m-max", "3"), ("--m", "2")], ids=["all", "m-max", "m"]
 )
 def test_streamed_verify_is_the_library_report(capsys, fmt, option):
+    from dlv import build_tower
     from dlv.pipeline import (
         VerificationReport,
         render_report_text,
@@ -285,9 +286,8 @@ def test_streamed_verify_is_the_library_report(capsys, fmt, option):
         code, out, err = run(capsys, "verify", "--n", str(n), *option, "--format", fmt)
         assert code == 0
         if option[:1] == ("--m",):
-            report = VerificationReport(
-                n, 2, (verify_instance(n, 2),), f"single instance n={n}, m=2: Verified"
-            )
+            instance = verify_instance(build_tower(n), 2)
+            report = VerificationReport(n, 2, (instance,), f"single instance n={n}, m=2: Verified")
         else:
             report = verify(n, *(int(v) for v in option[1:]))
         doc = report_to_dict(report)
@@ -570,7 +570,7 @@ def test_schema_violation_in_text_mode_is_the_json_diagnostic(tmp_path, capsys, 
 
 def test_unwritable_out_path_is_reported_before_any_work(tmp_path, capsys, monkeypatch):
     # it used to run the whole sweep, progress lines included, and fail at the end
-    def never(n, m, tower=None):
+    def never(tower, m):
         raise AssertionError("verify ran before --out was checked")
 
     monkeypatch.setattr("dlv.pipeline.verify_instance", never)
@@ -589,9 +589,9 @@ def _tamper_instance(monkeypatch, m, n=None):
 
     real = pipeline_mod.verify_instance
 
-    def tampered(n_, m_, tower=None):
-        doc = real(n_, m_, tower)
-        if m_ == m and n in (None, n_):
+    def tampered(tower, m_):
+        doc = real(tower, m_)
+        if m_ == m and n in (None, tower.n):
             doc["status"] = "Maybe"
         return doc
 
@@ -722,9 +722,9 @@ def _fail_instance(monkeypatch, m, n=None):
 
     real = pipeline_mod.verify_instance
 
-    def tampered(n_, m_, tower=None):
-        r = real(n_, m_, tower)
-        if m_ == m and n in (None, n_):
+    def tampered(tower, m_):
+        r = real(tower, m_)
+        if m_ == m and n in (None, tower.n):
             r["status"] = "Failed"
         return r
 
@@ -855,12 +855,12 @@ def _verify_failing_at(monkeypatch, bad_n, error):
 
     real, seen = pipeline_mod.verify_instance, []
 
-    def verify_instance(n, m, tower=None):
+    def verify_instance(tower, m):
         if m == 1:
-            seen.append(n)
-            if n == bad_n:
+            seen.append(tower.n)
+            if tower.n == bad_n:
                 raise error
-        return real(n, m, tower)
+        return real(tower, m)
 
     monkeypatch.setattr(pipeline_mod, "verify_instance", verify_instance)
     return seen
@@ -936,7 +936,7 @@ def test_sweep_envelope_is_checked_before_the_first_n(capsys, monkeypatch):
             fields["extra"] = 1
         return real(kind, **fields)
 
-    def never(n, m, tower=None):
+    def never(tower, m):
         raise AssertionError("an n was verified before the sweep envelope was checked")
 
     monkeypatch.setenv("DLV_SCHEMA_CHECK", "1")
@@ -982,10 +982,10 @@ def test_sweep_keeps_no_earlier_report_while_it_verifies(capsys, monkeypatch, fm
     real_verify = pipeline_mod.verify_instance
     alive, kept = [], []  # weak references; the (n, m) whose group found one alive
 
-    def verify_instance(n, m, tower=None):
+    def verify_instance(tower, m):
         if (m - 1) % pipeline_mod._GROUP == 0 and any(ref() is not None for ref in alive):
-            kept.append((n, m))
-        doc = _TrackedDict(real_verify(n, m, tower))
+            kept.append((tower.n, m))
+        doc = _TrackedDict(real_verify(tower, m))
         alive.append(weakref.ref(doc))
         return doc
 

@@ -30,7 +30,9 @@ from dlv import (
     verify,
     verify_instance,
 )
+from dlv.expr import parse_expr
 from dlv.lattice import check_on
+from dlv.oracle import enumeration_check, forcing_order_check, identity_suite
 
 
 def test_declared_gram_for_smallest_n():
@@ -363,6 +365,23 @@ def test_a_tower_refuses_classes_off_their_models(tower_3, classes, error, messa
         Tower(**{**fields, "classes": classes(tower_3)})
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (4, "n must be an odd integer >= 3, got 4"),
+        (1, "n must be an odd integer >= 3, got 1"),
+        (True, "n must be an integer, got True"),
+        (3.0, "n must be an integer, got 3.0"),
+    ],
+    ids=["even", "one", "bool", "float"],
+)
+def test_a_tower_refuses_an_n_that_is_not_an_odd_int_of_at_least_3(tower_3, n, message):
+    # it kept any n, and verify_instance checked the n it was given instead
+    fields = {name: getattr(tower_3, name) for name in Tower._fields}
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        Tower(**{**fields, "n": n})
+
+
 def test_tower_model_of_refuses_a_foreign_class(tower_3):
     assert tower_3.model_of(tower_3.classes["L"]) is tower_3.base_blowup
     foreign = build_tower(5).classes["A"]
@@ -625,10 +644,15 @@ _RULE_CALLS = st.one_of(
     st.tuples(st.just(certify_not_effective), _value, _value, _label),
     st.tuples(st.just(cover_section_split), _value, _value),
     st.tuples(st.just(blowup_section_transfer), _value, _value, _value),
-    st.tuples(st.just(verify_instance), _size, _size, _value),
+    st.tuples(st.just(verify_instance), _value, _size),
     st.tuples(st.just(report_to_dict), _value),
     st.tuples(st.just(render_report_text), _value),
     st.tuples(st.just(_drained), _size, _size, _size, _size),
+    st.tuples(st.sampled_from([t.model_of for t in _fuzz_pool()[4][:2]]), _value),
+    st.tuples(st.just(forcing_order_check), _value, _value, st.integers(-1, 1)),
+    st.tuples(st.just(identity_suite), _value, st.integers(-1, 1), _value),
+    st.tuples(st.just(parse_expr), st.one_of(st.text(max_size=6), _value), _value),
+    st.tuples(st.just(enumeration_check), _value, st.integers(-1, 1), st.integers(-1, 2)),
 )
 
 
@@ -652,7 +676,7 @@ def test_constructions_refuse_bad_arguments_with_a_package_error(call):
         (lambda t: fixed_part_forcing(5, t.classes["L"]),
          "fixed_part_forcing needs a SurfaceModel, got int"),
         (lambda t: h0_unique_member(5), "h0_unique_member needs a ForcingTrace, got int"),
-        (lambda t: verify_instance(3, 1, tower=5), "verify_instance needs a Tower, got int"),
+        (lambda t: verify_instance(5, 1), "verify_instance needs a Tower, got int"),
         (lambda t: report_to_dict(5), "report_to_dict needs a VerificationReport, got int"),
         (lambda t: format_class(5, t.classes["A"]), "format_class needs a SurfaceModel, got int"),
         (lambda t: certify_not_effective(5, t.classes["A"], "G"),
@@ -663,13 +687,21 @@ def test_constructions_refuse_bad_arguments_with_a_package_error(call):
          "blowup_section_transfer needs a blow-up morphism"),
         (lambda t: render_report_text(5), "render_report_text needs a verification-report"),
         (lambda t: render_report_text({}), "render_report_text needs a verification-report"),
-        (lambda t: verify_instance(3.0, 1, tower=t), "n must be an integer, got 3.0"),
+        (lambda t: Tower(3.0, *[getattr(t, name) for name in Tower._fields[1:]]),
+         "n must be an integer, got 3.0"),
+        (lambda t: t.model_of(5), "Tower.model_of needs a DivisorClass, got int"),
+        (lambda t: forcing_order_check(5, t.classes["L"]),
+         "forcing_order_check needs a SurfaceModel, got int"),
+        (lambda t: identity_suite(5), "identity_suite needs a list, got int"),
+        (lambda t: parse_expr("L.L", t.base), "parse_expr needs a Tower, got SurfaceModel"),
+        (lambda t: enumeration_check(3), "enumeration_check needs a Tower, got int"),
     ],
     ids=["forcing", "h0", "verify-instance", "report-to-dict", "format-class", "certify",
-         "cover-split", "transfer", "render-int", "render-dict", "float-n-with-a-tower"],
+         "cover-split", "transfer", "render-int", "render-dict", "float-n-with-a-tower",
+         "model-of", "forcing-order", "identity-suite", "parse-expr", "enumeration"],
 )
 def test_a_wrong_argument_outside_the_constructions_is_refused_on_entry(tower_3, call, message):
     # each ended in a bare AttributeError or TypeError, or (a float n with a
-    # tower of the same n) was verified
+    # tower's maps) built a tower
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}"):
         call(tower_3)

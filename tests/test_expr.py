@@ -1,5 +1,4 @@
 import functools
-import re
 import sys
 
 import pytest
@@ -12,7 +11,7 @@ from dlv.expr import ExprError, parse_expr
 
 def evaluate(n, text):
     tower = build_tower(n)
-    return parse_expr(text, tower.base, named=dict(tower.classes), models=tower.models)
+    return parse_expr(text, tower)
 
 
 def test_member_self_pairing():
@@ -44,15 +43,15 @@ def test_basis_labels_resolve():
 
 def test_class_result():
     tower = build_tower(3)
-    result = parse_expr("2*A - R", tower.base, named=dict(tower.classes))
+    result = parse_expr("2*A - R", tower)
     assert isinstance(result, DivisorClass)
     assert result.coeffs == (1, -1, 2)
 
 
 def test_scalar_arithmetic():
     tower = build_tower(3)
-    assert parse_expr("2*3 + 1", tower.base) == 7
-    assert parse_expr("-(2 + 3)", tower.base) == -5
+    assert parse_expr("2*3 + 1", tower) == 7
+    assert parse_expr("-(2 + 3)", tower) == -5
 
 
 def test_unary_minus_on_class():
@@ -62,27 +61,27 @@ def test_unary_minus_on_class():
 def test_unknown_identifier_offset():
     tower = build_tower(3)
     with pytest.raises(ExprError, match="unknown identifier 'Bogus'") as excinfo:
-        parse_expr("A.Bogus", tower.base, named=dict(tower.classes))
+        parse_expr("A.Bogus", tower)
     assert excinfo.value.position == 2
 
 
 def test_syntax_error_offset():
     tower = build_tower(3)
     with pytest.raises(ExprError, match="expected a number, an identifier or") as excinfo:
-        parse_expr("A + ", tower.base, named=dict(tower.classes))
+        parse_expr("A + ", tower)
     assert excinfo.value.position == 4
 
 
 def test_unbalanced_parenthesis():
     tower = build_tower(3)
     with pytest.raises(ExprError, match=r"expected '\)'"):
-        parse_expr("(A + F", tower.base, named=dict(tower.classes))
+        parse_expr("(A + F", tower)
 
 
 def test_bad_character():
     tower = build_tower(3)
     with pytest.raises(ExprError, match="unexpected character '/'") as excinfo:
-        parse_expr("A / F", tower.base, named=dict(tower.classes))
+        parse_expr("A / F", tower)
     assert excinfo.value.position == 2
 
 
@@ -121,12 +120,9 @@ def test_cross_model_pairing_rejected():
         evaluate(3, "A.D")
 
 
-def test_pairing_needs_the_model_of_its_class():
-    tower = build_tower(3)
-    where = tower.base_blowup.model_id
-    with pytest.raises(ExprError, match=re.escape(f"no model available for pairing on {where!r}")):
-        parse_expr("L.L", tower.base, named=dict(tower.classes))
-    assert evaluate(3, "L.L") == -4
+def test_a_pairing_runs_on_the_tower_model_of_its_class():
+    # L lives on the blown-up base, not the base whose labels resolve
+    assert parse_expr("L.L", build_tower(3)) == -4
 
 
 def test_trailing_garbage_rejected():
@@ -244,6 +240,6 @@ def _expressions(draw):
 @given(_expressions())
 def test_parse_expr_matches_an_independent_evaluator(case):
     text, expected = case
-    got = parse_expr(text, _TOWER.base, named=dict(_TOWER.classes), models=_TOWER.models)
+    got = parse_expr(text, _TOWER)
     assert got == expected
     assert type(got) is type(expected)

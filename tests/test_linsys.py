@@ -86,21 +86,20 @@ def test_certificate_needs_registered_witness(tower_3):
 
 
 def test_cover_split_returns_both_summands(tower_3):
+    # the second summand, returned; the record lists both
     member, half = tower_3.classes["A"], tower_3.classes["R"]
-    first, second, record = cover_section_split(tower_3.cover_map, 2 * member)
-    assert first == 2 * member
+    second, record = cover_section_split(tower_3.cover_map, 2 * member)
     assert second == 2 * member - half
     assert record == {
         "rule": "cover-section-split",
         "citation": COVER_SPLIT_CITATION,
-        "values": {"M": list(first.coeffs), "M_minus_R": list(second.coeffs)},
+        "values": {"M": list((2 * member).coeffs), "M_minus_R": list(second.coeffs)},
     }
 
 
 def test_cover_split_of_half_branch_is_zero(tower_3):
     half = tower_3.classes["R"]
-    first, second, _ = cover_section_split(tower_3.cover_map, half)
-    assert first == half
+    second, _ = cover_section_split(tower_3.cover_map, half)
     assert second.is_zero
 
 
@@ -110,7 +109,7 @@ def test_cover_split_second_summand_pairing(tower_3):
         tower_3.classes["R"],
         tower_3.classes["G_n"],
     )
-    _, second, _ = cover_section_split(tower_3.cover_map, 1 * member)
+    second, _ = cover_section_split(tower_3.cover_map, 1 * member)
     assert tower_3.base.pair(second, kernel) == 4 * 0 - 9  # == -9
 
 

@@ -60,25 +60,25 @@ def test_enumeration_agrees_with_forcing(tower_3):
         assert enumerate_decompositions(bb, target, 10) == [trace.conclusion.as_dict()]
 
 
-def test_enumeration_check_suite():
-    report = enumeration_check(n=3, m_cap=4, coeff_bound=10)
+def test_enumeration_check_suite(tower_3):
+    report = enumeration_check(tower_3, m_cap=4, coeff_bound=10)
     assert not report.failures
     assert report.trials == 4
 
 
-def test_enumeration_check_accepts_a_bound_below_the_forced_counts():
+def test_enumeration_check_accepts_a_bound_below_the_forced_counts(tower_3):
     # m = 4 forces {F': 4, Gamma_n': 4}, which a grid bounded by 3 cannot hold
-    assert not enumeration_check(coeff_bound=3).failures
+    assert not enumeration_check(tower_3, coeff_bound=3).failures
 
 
 @pytest.mark.parametrize(
     "found, bound, failed",
     [([{"F'": 1}], 3, 4), ([{"F'": 1}], 10, 4), ([], 3, 3), ([], 10, 4)],
 )
-def test_enumeration_check_rejects_a_wrong_search(monkeypatch, found, bound, failed):
+def test_enumeration_check_rejects_a_wrong_search(monkeypatch, tower_3, found, bound, failed):
     # only m = 4 may find nothing at bound 3
     monkeypatch.setattr(oracle, "enumerate_decompositions", lambda *args: found)
-    assert len(enumeration_check(coeff_bound=bound).failures) == failed
+    assert len(enumeration_check(tower_3, coeff_bound=bound).failures) == failed
 
 
 def test_identity_suite_small_range():
@@ -184,12 +184,12 @@ def test_seeds_are_exact_ints_checked_before_any_work(no_suite_work, suite, bad)
 )
 def test_sizes_are_exact_ints_checked_before_any_work(tower_3, no_suite_work, suite, name, bad):
     # m_cap=True ran one trial, m_cap=-1 none, and m_cap=2.0 or "3" ended
-    # in a bare TypeError; coeff_bound was checked only once a tower was built
+    # in a bare TypeError
     with pytest.raises(InvalidParameter, match=f"^{name} must be an integer >= 0"):
         if suite == "forcing-order":
             forcing_order_check(tower_3.base_blowup, tower_3.classes["L"], m_cap=bad)
         else:
-            enumeration_check(**{name: bad})
+            enumeration_check(tower_3, **{name: bad})
 
 
 def test_bilinearity_trials_leave_no_tuples_on_the_free_lists(retained):

@@ -66,8 +66,8 @@ def test_threshold_rejects_bad_n(bad):
         m_threshold(bad)
 
 
-def test_verified_instance_mid_range():
-    result = verify_instance(5, 3)
+def test_verified_instance_mid_range(tower_5):
+    result = verify_instance(tower_5, 3)
     assert result["status"] == VERIFIED
     assert result["d_n_squared"] == 4
     assert result["a_n_squared"] == 8
@@ -75,8 +75,8 @@ def test_verified_instance_mid_range():
     assert result["h0"] == 1
 
 
-def test_boundary_instance():
-    result = verify_instance(3, 4)
+def test_boundary_instance(tower_3):
+    result = verify_instance(tower_3, 4)
     assert result["status"] == BEYOND_THRESHOLD
     assert result["certificate_value"] == 3
     assert result["h0"] == "unknown"
@@ -93,7 +93,7 @@ def test_boundary_instance():
 
 
 @pytest.mark.parametrize("m", [1, m_threshold(3) + 1], ids=["verified", "beyond"])
-def test_inconclusive_forcing_yields_failed(monkeypatch, m):
+def test_inconclusive_forcing_yields_failed(monkeypatch, tower_3, m):
     # below and beyond the threshold the one forcing of the instance must
     # reach a unique member; an inconclusive one is an internal contradiction
     from dlv import FAILED, ForcingTrace, Inconclusive
@@ -102,7 +102,7 @@ def test_inconclusive_forcing_yields_failed(monkeypatch, m):
         return ForcingTrace(start=start, runs=(), conclusion=Inconclusive("no forcing curve"))
 
     monkeypatch.setattr("dlv.pipeline.fixed_part_forcing", inconclusive)
-    result = verify_instance(3, m)
+    result = verify_instance(tower_3, m)
     assert result["status"] == FAILED
     assert result["h0"] == "unknown"
     chain = result["certificate_chain"]
@@ -114,23 +114,23 @@ def test_inconclusive_forcing_yields_failed(monkeypatch, m):
     ]
 
 
-def test_first_instance():
-    result = verify_instance(3, 1)
+def test_first_instance(tower_3):
+    result = verify_instance(tower_3, 1)
     assert result["status"] == VERIFIED
     assert result["h0"] == 1
 
 
-def test_instance_rejects_bad_m():
+def test_instance_rejects_bad_m(tower_3):
     with pytest.raises(InvalidParameter):
-        verify_instance(3, 0)
+        verify_instance(tower_3, 0)
     with pytest.raises(InvalidParameter):
-        verify_instance(3, -2)
+        verify_instance(tower_3, -2)
     with pytest.raises(InvalidParameter):
-        verify_instance(3, _Int(1))
+        verify_instance(tower_3, _Int(1))
 
 
-def test_instance_certificate_chain_order():
-    result = verify_instance(3, 2)
+def test_instance_certificate_chain_order(tower_3):
+    result = verify_instance(tower_3, 2)
     rules = [app["rule"] for app in result["certificate_chain"]]
     assert rules == [
         "blowup-section-transfer",
@@ -205,9 +205,9 @@ def test_report_json_is_deterministic():
 
 
 @pytest.mark.parametrize("m", [2, m_threshold(3) + 1], ids=["verified", "beyond"])
-def test_an_instance_equals_itself_verified_again(m):
+def test_an_instance_equals_itself_verified_again(tower_3, m):
     # its forcing record's step pairings are a new IntRuns each time
-    a, b = verify_instance(3, m), verify_instance(3, m)
+    a, b = verify_instance(tower_3, m), verify_instance(tower_3, m)
     (forcing,) = [
         app for app in a["certificate_chain"] if app["rule"] == "fixed-component-forcing"
     ]
@@ -257,7 +257,7 @@ def test_internal_contradiction_yields_failed():
     t = build_tower(3)
     # tamper with one declared Gram entry so a closed form breaks
     bad_base = _with_gram(t.base, {(0, 2): 5})
-    result = verify_instance(3, 1, tower=_tampered(t, base=bad_base))
+    result = verify_instance(_tampered(t, base=bad_base), 1)
     assert result["status"] == FAILED
     assert any(
         app["rule"] == "internal-check-failed" for app in result["certificate_chain"]
@@ -343,18 +343,11 @@ def _headline_square_off(t):
 )
 def test_each_closed_form_check_fails_the_instance_alone(tower_3, tamper, detail):
     # one closed form broken, so the instance fails with its line alone
-    result = verify_instance(3, 2, tower=tamper(tower_3))
+    result = verify_instance(tamper(tower_3), 2)
     assert result["status"] == FAILED
     assert result["h0"] == "unknown"
     (failed,) = [a for a in result["certificate_chain"] if a["rule"] == "internal-check-failed"]
     assert failed["values"]["details"] == [detail]
-
-
-def test_instance_rejects_mismatched_tower():
-    from dlv import build_tower
-
-    with pytest.raises(InvalidParameter):
-        verify_instance(5, 1, tower=build_tower(3))
 
 
 def _retained(n: int) -> int:
@@ -410,6 +403,14 @@ def test_the_streamed_report_is_the_bytes_of_the_cli(capsys):
     assert written.getvalue() == capsys.readouterr().out
 
 
+def test_the_streamed_report_refuses_m_max_with_m():
+    # it built the one instance m = 3 and dropped m_max, where the CLI
+    # refuses --m-max with --m
+    with pytest.raises(InvalidParameter, match="^streamed_report takes m_max or m, not both$"):
+        streamed_report(5, m_max=2, m=3)
+    assert streamed_report(5, m_max=None, m=3)[0]["m_max"] == 3
+
+
 @pytest.mark.parametrize("k", [0, 3, 7])
 def test_a_checked_verify_refuses_a_tampered_instance(monkeypatch, k):
     # verify built its report without the self-check, so this returned
@@ -417,8 +418,8 @@ def test_a_checked_verify_refuses_a_tampered_instance(monkeypatch, k):
 
     real = pipeline_mod.verify_instance
 
-    def tampered(n, m, tower=None):
-        doc = real(n, m, tower)
+    def tampered(tower, m):
+        doc = real(tower, m)
         if m == k + 1:
             doc["status"] = "Maybe"
         return doc

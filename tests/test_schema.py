@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 from dlv import (
     SchemaViolation,
     VerificationReport,
+    build_tower,
     report_to_dict,
     sweep_to_dict,
     verify_instance,
@@ -36,7 +37,8 @@ def _base_documents() -> list[dict]:
     """One valid document of each kind.  Every subschema of ``REPORT_SCHEMA``
     is reached by at least one of them (a ``failures`` list is non-empty),
     so a keyword the checker does not know cannot hide in a branch."""
-    instances = (verify_instance(3, 1), verify_instance(3, 4))  # h0 1 and "unknown"
+    tower = build_tower(3)
+    instances = (verify_instance(tower, 1), verify_instance(tower, 4))  # h0 1 and "unknown"
     report = VerificationReport(n=3, m_max=3, instances=instances, summary="two instances")
     oracle = oracle_report_to_dict(OracleReport("identity", 2, ("a mismatch",), 7))
     return [
